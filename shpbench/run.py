@@ -4,15 +4,16 @@
 Run from the repository root:
 
     python3 shpbench/run.py --workload shp2-social-text --seed 1 \
-        --seconds 20 --trace 0
-    python3 shpbench/run.py --workload all --seconds 20
+        --seconds 30 --trace 0
+    python3 shpbench/run.py --workload all --seconds 30
 
 One run builds the benchmark program (shpbench/CMakeLists.txt, into
 $CARGO_TARGET_DIR or .bench_build), generates the workload's input from --seed several times
 in separate processes (the median is `setup_s`), then repeats the timed
 operation in fresh processes until --seconds have passed and reports
-medians. With --trace 1 it alternates untraced and traced operations and
-reports the per-layer metrics of the traced ones plus the tracing overhead.
+medians, wall times scaled to a reference clock. With --trace 1 it
+alternates untraced and traced operations and reports the per-layer
+metrics of the traced ones plus the tracing overhead.
 Every operation's output checks are counted; the last stdout line is one
 JSON object {correct, attempted, failed, metrics}. Metric names and units
 come from BENCHMARK.json. See shpbench/README.md.
@@ -30,19 +31,23 @@ ROOT = os.getcwd()
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ["shp2-social-text", "shpk-bsp-spill", "serving-diurnal"]
 SETUP_REPEATS = 5
+# Pool size for the timed operations. With one thread the library's
+# ParallelFor runs inline on the caller, so a run measures the program
+# rather than the scheduler of a shared host. Trajectories are deterministic
+# per thread count.
+THREADS = 1
+# Every wall time is reported at a reference clock: an operation's times are
+# multiplied by REFERENCE_CALIBRATION_MS over the time the benchmark's own
+# fixed integer loop took in that process, and its rates divided by it. The
+# shared host's CPU clock drifted by a third within minutes, and that moved
+# every wall time with it (README.md, "Clock calibration").
+REFERENCE_CALIBRATION_MS = 100.0
+TIME_UNITS = ("s", "ms")
+RATE_UNITS = ("MB/s", "kq/s")
 
 
 def log(msg):
     print(msg, file=sys.stderr, flush=True)
-
-
-def threads():
-    """Pool size for the timed operations: at most two. On a shared 4-vCPU
-    host, two ten-seed sets per workload with two threads spread 0.06-0.16
-    (IQR / median) on the wall times; one set with four threads spread
-    0.17 on solve_s and 0.26 on serve_s of shp2-social-text. Trajectories
-    are deterministic per thread count."""
-    return max(1, min(2, os.cpu_count() or 1))
 
 
 def build():
@@ -62,7 +67,12 @@ def build():
 
 def child_env():
     env = dict(os.environ)
-    env["SHP_BENCH_THREADS"] = str(threads())
+    env["SHP_BENCH_THREADS"] = str(THREADS)
+    # A fixed mmap threshold turns off glibc's dynamic one, so every large
+    # block is mapped and unmapped on its own. Otherwise whether a freed
+    # block is reused depends on the heap layout, which shifts with the
+    # environment and the paths, and VmHWM of the same input moved by 15%.
+    env["MALLOC_MMAP_THRESHOLD_"] = "131072"
     return env
 
 
@@ -97,8 +107,21 @@ def run_once(binary, workload, work_dir, trace):
     return json.loads(lines[-1][len("RESULT "):])
 
 
-def median_of(results, key):
-    return statistics.median(r[key] for r in results)
+def clock_factor(result):
+    """Scales one operation's wall times to the reference clock."""
+    return REFERENCE_CALIBRATION_MS / result["calibration_ms"]
+
+
+def median_of(results, key, unit):
+    """Median over operations, wall times and rates at the reference clock
+    and every other unit as measured."""
+    def value(r):
+        if unit in TIME_UNITS:
+            return r[key] * clock_factor(r)
+        if unit in RATE_UNITS:
+            return r[key] / clock_factor(r)
+        return r[key]
+    return statistics.median(value(r) for r in results)
 
 
 def measure(binary, workload, seed, seconds, trace, manifest):
@@ -131,24 +154,33 @@ def measure(binary, workload, seed, seconds, trace, manifest):
         (traced if mode else plain).append(result)
 
     thread_counts = {int(r["threads"]) for r in plain + traced}
+    calibration_ms = statistics.median(
+        r["calibration_ms"] for r in plain + traced)
 
-    values = {"setup_s": statistics.median(setup)}
+    # Set-up runs just before the operations, so it is scaled by their
+    # median calibration.
+    values = {"setup_s": statistics.median(setup)
+              * REFERENCE_CALIBRATION_MS / calibration_ms}
     if trace:
         specs = manifest["per_layer"]
         for spec in specs:
             name = spec["name"]
             if name == "trace.overhead_pct":
-                base = median_of(plain, "op_s")
-                values[name] = 100.0 * (median_of(traced, "op_s") - base) / base
+                base = median_of(plain, "op_s", "s")
+                values[name] = 100.0 * (
+                    median_of(traced, "op_s", "s") - base) / base
             elif name == "run.threads":
                 values[name] = float(max(thread_counts))
+            elif name == "host.calibration_ms":
+                values[name] = calibration_ms
             else:
-                values[name] = median_of(traced, name)
+                values[name] = median_of(traced, name, spec["unit"])
     else:
         specs = manifest["end_to_end"]
         for spec in specs:
             if spec["name"] != "setup_s":
-                values[spec["name"]] = median_of(plain, spec["name"])
+                values[spec["name"]] = median_of(plain, spec["name"],
+                                                 spec["unit"])
 
     print("workload %s seed %d: %d untraced + %d traced operations "
           "completed, %d failed, %d threads"

@@ -14,8 +14,8 @@
 //
 // Workloads (see README.md for why each was chosen):
 //   shp2-social-text  social graph as a text edge list, in-memory parse,
-//                     SHP-2 recursive bisection to k=64 on the threaded
-//                     Refiner, then a live cutover onto the partition.
+//                     SHP-2 recursive bisection to k=64 on the Refiner,
+//                     then a live cutover onto the partition.
 //   shpk-bsp-spill    social graph as an SHPG snapshot, bounded-memory
 //                     streaming ingest that spills to the disk arena, SHP-k
 //                     (k=32, fixed 40 iterations) on the BSP engine, then
@@ -57,12 +57,12 @@ constexpr const char* kServing = "serving-diurnal";
 
 // ---- workload shapes -------------------------------------------------------
 
-constexpr VertexId kSocialUsers = 70000;
+constexpr VertexId kSocialUsers = 40000;
 constexpr BucketId kSocialK = 64;
 constexpr double kEpsilon = 0.05;
 
-/// Users of the social graph behind both SHPG workloads (~0.9M pins).
-constexpr VertexId kSnapshotUsers = 50000;
+/// Users of the social graph behind both SHPG workloads (~0.6M pins).
+constexpr VertexId kSnapshotUsers = 35000;
 constexpr BucketId kBspK = 32;
 constexpr uint32_t kBspIterations = 40;
 constexpr int kBspWorkers = 4;
@@ -76,11 +76,33 @@ constexpr uint64_t kServingEpochs = 3;
 /// on almost every seed, so the migration volume is set by the budget
 /// rather than by the seed.
 constexpr uint64_t kServingBudget = 250;
-/// Queries replayed per serving phase, on every workload.
+/// Queries replayed per serving phase of serving-diurnal.
 constexpr uint64_t kRequestsPerPhase = 200000;
+/// Queries replayed per phase of the cutover that ends both solve
+/// workloads. At 200k the whole cutover took ~0.3 s and its time moved by a
+/// fifth from one operation to the next.
+constexpr uint64_t kCutoverRequestsPerPhase = 600000;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// Steps of the clock-calibration loop (~0.1 s on a 2 GHz core).
+constexpr uint64_t kCalibrationSteps = 100000000;
+
+/// Milliseconds a fixed serial chain of integer multiplies and xors takes.
+/// It touches no memory, so its time follows only the CPU clock, which on
+/// a shared host drifts by a third within minutes; run.py scales every
+/// wall time by it (README.md, "Clock calibration").
+double CalibrationMs() {
+  const Clock::time_point start = Clock::now();
+  uint64_t c = 0;
+  for (uint64_t r = 0; r < kCalibrationSteps; ++r) c += (c ^ r) * 31 + 7;
+  const double ms = 1e3 * Seconds(start, Clock::now());
+  // Uses the result so the loop cannot be folded away.
+  if (c == 42) std::fprintf(stderr, "calibration sum %llu\n",
+                            static_cast<unsigned long long>(c));
+  return ms;
 }
 
 // ---- tracing ---------------------------------------------------------------
@@ -236,7 +258,7 @@ class TimedRefiner final : public RefinerInterface {
   Ledger* ledger_;
 };
 
-/// Wraps `make` (nullptr = the default threaded Refiner) so every refiner
+/// Wraps `make` (nullptr = the default Refiner) so every refiner
 /// the driver constructs is timed and decorated.
 RefinerFactory TimedFactory(RefinerFactory make, Ledger* ledger) {
   return [make, ledger](const BipartiteGraph& graph,
@@ -455,7 +477,7 @@ void ServeCutover(const BipartiteGraph& graph,
   ServingLoopConfig config;
   config.num_epochs = 1;
   config.iterations_per_epoch = 1;
-  config.requests_per_phase = kRequestsPerPhase;
+  config.requests_per_phase = kCutoverRequestsPerPhase;
   config.epsilon = kEpsilon;
   config.cluster.num_servers = static_cast<uint32_t>(k);
   config.scenario = TrafficScenario::kPowerLaw;
@@ -813,6 +835,7 @@ int Run(const std::string& workload, const std::string& dir, bool trace) {
   Ledger ledger(&tracer);
   Checks checks;
   RunOutput out;
+  const double calibration_before_ms = CalibrationMs();
   {
     ScopedSpan span(&tracer, "bench.run");
     if (workload == kSocial) {
@@ -824,11 +847,14 @@ int Run(const std::string& workload, const std::string& dir, bool trace) {
     }
   }
   const double peak_rss_mb = PeakRssMb();
+  const double calibration_ms =
+      (calibration_before_ms + CalibrationMs()) / 2.0;
 
   JsonObject json;
   json.Num("attempted", static_cast<double>(checks.attempted));
   json.Num("failed", static_cast<double>(checks.failed));
   json.Num("threads", static_cast<double>(pool.num_threads()));
+  json.Num("calibration_ms", calibration_ms);
   json.Num("op_s", out.op_s);
   json.Num("solve_s", out.solve_s);
   json.Num("serve_s", out.serve_s);
