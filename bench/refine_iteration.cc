@@ -36,6 +36,7 @@
 #include "core/refiner.h"
 #include "core/shp_k.h"
 #include "engine/shp_bsp.h"
+#include "engine/wire_format.h"
 #include "graph/gen_powerlaw.h"
 #include "objective/gain.h"
 #include "objective/objective.h"
@@ -59,8 +60,16 @@ struct PathTiming {
 struct BspTiming {
   std::vector<double> iteration_ms;
   std::vector<uint64_t> s2_remote_bytes;
+  /// The same superstep-2 volume with every delta record at its raw
+  /// fixed width (wire::kRawDeltaBytes): the comparison figure for the
+  /// varint codec. Equal to s2_remote_bytes on full-reship supersteps.
+  std::vector<uint64_t> s2_raw_bytes;
   double mean_ms = 0.0;
   uint64_t steady_s2_bytes = 0;
+  uint64_t steady_s2_raw_bytes = 0;
+  /// Steady iterations whose superstep 2 ran a full reship instead of the
+  /// delta exchange.
+  uint64_t steady_reships = 0;
   /// Envelope framing overhead (header varints + CRC32C) of the steady
   /// superstep-2 exchanges — tracked as its own series, never mixed into
   /// the payload byte series, and gated at <= 4% of the varint payload.
@@ -163,12 +172,11 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("bsp_workers", 4));
   auto run_bsp = [&](RefinerOptions::SweepMode mode, const MoveTopology& t,
                      const std::vector<BucketId>& start,
-                     uint64_t iteration_offset, bool varint_wire) {
+                     uint64_t iteration_offset) {
     RefinerOptions options = base_options;
     options.sweep_mode = mode;
     BspConfig config;
     config.num_workers = bsp_workers;
-    config.varint_wire = varint_wire;
     std::vector<SuperstepStats> log;
     BspRefiner refiner(graph, options, config, &log);
     Partition partition = Partition::FromAssignment(start, k);
@@ -179,11 +187,18 @@ int main(int argc, char** argv) {
           t, &partition, seed, iteration_offset + 1 + i);
       timing.iteration_ms.push_back(timer.ElapsedMillis());
       timing.delta_records += stats.num_delta_records;
-      const uint64_t s2 = log[i * 4 + 1].traffic.remote_bytes;
-      timing.s2_remote_bytes.push_back(s2);
+      const SuperstepStats& s2 = log[i * 4 + 1];
+      const bool delta_exchange = s2.label == "2:ship-deltas+gains";
+      const uint64_t raw =
+          delta_exchange ? s2.traffic.remote_messages * wire::kRawDeltaBytes
+                         : s2.traffic.remote_bytes;
+      timing.s2_remote_bytes.push_back(s2.traffic.remote_bytes);
+      timing.s2_raw_bytes.push_back(raw);
       if (i > 0) {
-        timing.steady_s2_bytes += s2;
-        timing.steady_envelope_bytes += log[i * 4 + 1].envelope_bytes;
+        timing.steady_s2_bytes += s2.traffic.remote_bytes;
+        timing.steady_s2_raw_bytes += raw;
+        timing.steady_envelope_bytes += s2.envelope_bytes;
+        if (!delta_exchange) ++timing.steady_reships;
       }
     }
     timing.mean_ms = std::accumulate(timing.iteration_ms.begin(),
@@ -193,18 +208,15 @@ int main(int argc, char** argv) {
         refiner.sweep().last_build_adjacency_reads();
     return std::make_pair(timing, partition.assignment());
   };
-  // The legacy bsp_pull/bsp_push series keep the raw fixed-width accounting
-  // so their steady_s2_remote_bytes trend stays comparable across history;
-  // the *_varint series gate the grouped varint codec against them.
+  // The delta exchange always runs the grouped varint codec (the *_varint
+  // series). The bsp_push/bsp_push_grouped series keep their byte history
+  // as the raw-record figure derived from the varint runs (raw_twin below).
   const auto [bsp_pull, bsp_pull_assignment] =
       run_bsp(RefinerOptions::SweepMode::kPull, topo, steady_start,
-              warm_iterations, /*varint_wire=*/false);
-  const auto [bsp_push, bsp_push_assignment] =
-      run_bsp(RefinerOptions::SweepMode::kPush, topo, steady_start,
-              warm_iterations, /*varint_wire=*/false);
+              warm_iterations);
   const auto [bsp_push_varint, bsp_push_varint_assignment] =
       run_bsp(RefinerOptions::SweepMode::kPush, topo, steady_start,
-              warm_iterations, /*varint_wire=*/true);
+              warm_iterations);
 
   // Grouped series: a final-level SHP-2 window over the same graph —
   // sibling pairs {2i, 2i+1}. Warm into the grouped steady state from the
@@ -229,13 +241,35 @@ int main(int argc, char** argv) {
   const std::vector<BucketId> grouped_start = grouped_warmup.assignment();
   const auto [bsp_pull_grouped, bsp_pull_grouped_assignment] =
       run_bsp(RefinerOptions::SweepMode::kPull, grouped_topo, grouped_start,
-              grouped_warm_iterations, /*varint_wire=*/false);
-  const auto [bsp_push_grouped, bsp_push_grouped_assignment] =
-      run_bsp(RefinerOptions::SweepMode::kPush, grouped_topo, grouped_start,
-              grouped_warm_iterations, /*varint_wire=*/false);
+              grouped_warm_iterations);
   const auto [bsp_push_grouped_varint, bsp_push_grouped_varint_assignment] =
       run_bsp(RefinerOptions::SweepMode::kPush, grouped_topo, grouped_start,
-              grouped_warm_iterations, /*varint_wire=*/true);
+              grouped_warm_iterations);
+
+  // Raw-record twins: the same supersteps with every delta record at its
+  // fixed 16-byte width. The derivation is exact only for delta-exchange
+  // supersteps, so a steady iteration that reshipped fails the run.
+  for (const auto& [what, t] :
+       {std::make_pair("full-k", &bsp_push_varint),
+        std::make_pair("grouped", &bsp_push_grouped_varint)}) {
+    if (t->steady_reships != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %s delta-exchange run reshipped in %llu steady "
+                   "iterations (the raw-record byte series is derived from "
+                   "delta-exchange supersteps only)\n",
+                   what, static_cast<unsigned long long>(t->steady_reships));
+      return 2;
+    }
+  }
+  auto raw_twin = [](const BspTiming& varint) {
+    BspTiming raw;
+    raw.s2_remote_bytes = varint.s2_raw_bytes;
+    raw.steady_s2_bytes = varint.steady_s2_raw_bytes;
+    raw.delta_records = varint.delta_records;
+    return raw;
+  };
+  const BspTiming bsp_push = raw_twin(bsp_push_varint);
+  const BspTiming bsp_push_grouped = raw_twin(bsp_push_grouped_varint);
 
   if (full_assignment != incremental_assignment) {
     std::fprintf(stderr,
@@ -260,7 +294,8 @@ int main(int argc, char** argv) {
   // reship (this is the whole point of the exchange; it is a deterministic
   // byte count, not a timing, so it always gates).
   const double bsp_fanout_pull = AverageFanout(graph, bsp_pull_assignment);
-  const double bsp_fanout_push = AverageFanout(graph, bsp_push_assignment);
+  const double bsp_fanout_push =
+      AverageFanout(graph, bsp_push_varint_assignment);
   const double bsp_fanout_rel_diff =
       std::fabs(bsp_fanout_pull - bsp_fanout_push) /
       std::max(bsp_fanout_pull, 1e-30);
@@ -290,7 +325,7 @@ int main(int argc, char** argv) {
   const double grouped_fanout_pull =
       AverageFanout(graph, bsp_pull_grouped_assignment);
   const double grouped_fanout_push =
-      AverageFanout(graph, bsp_push_grouped_assignment);
+      AverageFanout(graph, bsp_push_grouped_varint_assignment);
   const double grouped_fanout_rel_diff =
       std::fabs(grouped_fanout_pull - grouped_fanout_push) /
       std::max(grouped_fanout_pull, 1e-30);
@@ -312,21 +347,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Varint wire format: the codec is accounting-only, so the varint run must
-  // walk the bit-identical trajectory of its raw twin, and its steady-state
-  // superstep-2 bytes must undercut the raw 16-byte records by >= 25% (the
-  // acceptance criterion; the codec lands near 3 bytes/record).
+  // Varint wire format: the steady-state superstep-2 bytes must undercut
+  // the raw 16-byte records of the same supersteps by >= 25% (the codec
+  // lands near 3 bytes/record).
   auto gate_varint = [](const char* what, const BspTiming& raw,
-                        const BspTiming& varint,
-                        const std::vector<BucketId>& raw_assignment,
-                        const std::vector<BucketId>& varint_assignment) {
-    if (varint_assignment != raw_assignment) {
-      std::fprintf(stderr,
-                   "FAIL: %s varint wire run diverged from the raw run (the "
-                   "codec must never change the trajectory)\n",
-                   what);
-      return false;
-    }
+                        const BspTiming& varint) {
     if (raw.steady_s2_bytes > 0 &&
         varint.steady_s2_bytes >
             raw.steady_s2_bytes - raw.steady_s2_bytes / 4) {
@@ -340,18 +365,15 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  if (!gate_varint("full-k", bsp_push, bsp_push_varint, bsp_push_assignment,
-                   bsp_push_varint_assignment) ||
-      !gate_varint("grouped", bsp_push_grouped, bsp_push_grouped_varint,
-                   bsp_push_grouped_assignment,
-                   bsp_push_grouped_varint_assignment)) {
+  if (!gate_varint("full-k", bsp_push, bsp_push_varint) ||
+      !gate_varint("grouped", bsp_push_grouped, bsp_push_grouped_varint)) {
     return 2;
   }
 
   // Self-verifying envelope: the integrity framing must stay a rounding
-  // error — <= 4% of the steady varint payload it protects (the ISSUE
-  // budget). The raw-wire series bypass the envelope entirely, so any
-  // overhead there is a protocol leak.
+  // error — <= 4% of the steady varint payload it protects. The full-reship
+  // pull series bypass the envelope entirely, so any overhead there is a
+  // protocol leak.
   auto gate_envelope = [](const char* what, const BspTiming& varint) {
     if (varint.steady_s2_bytes > 0 &&
         varint.steady_envelope_bytes * 25 > varint.steady_s2_bytes) {
@@ -372,13 +394,11 @@ int main(int argc, char** argv) {
   }
   for (const auto& [name, t] :
        {std::make_pair("bsp_pull", &bsp_pull),
-        std::make_pair("bsp_push", &bsp_push),
-        std::make_pair("bsp_pull_grouped", &bsp_pull_grouped),
-        std::make_pair("bsp_push_grouped", &bsp_push_grouped)}) {
+        std::make_pair("bsp_pull_grouped", &bsp_pull_grouped)}) {
     if (t->steady_envelope_bytes != 0) {
       std::fprintf(stderr,
-                   "FAIL: raw-wire series %s reported %llu envelope bytes "
-                   "(the reference switch must bypass the envelope)\n",
+                   "FAIL: full-reship series %s reported %llu envelope bytes "
+                   "(the reship must bypass the envelope)\n",
                    name,
                    static_cast<unsigned long long>(t->steady_envelope_bytes));
       return 2;
@@ -388,20 +408,18 @@ int main(int argc, char** argv) {
   // One-pass sharded bootstrap: the push-mode engines build the affinity
   // sweep once at iteration 0; the binned bootstrap reads each adjacency pin
   // exactly once regardless of the worker count (the old layout read W×|E|).
-  for (const BspTiming* t : {&bsp_push, &bsp_push_varint}) {
-    if (t->bootstrap_adjacency_reads != graph.num_edges()) {
-      std::fprintf(stderr,
-                   "FAIL: sharded bootstrap read %llu adjacency pins, "
-                   "expected exactly |E| = %llu (W=%d)\n",
-                   static_cast<unsigned long long>(
-                       t->bootstrap_adjacency_reads),
-                   static_cast<unsigned long long>(graph.num_edges()),
-                   bsp_workers);
-      return 2;
-    }
+  if (bsp_push_varint.bootstrap_adjacency_reads != graph.num_edges()) {
+    std::fprintf(stderr,
+                 "FAIL: sharded bootstrap read %llu adjacency pins, "
+                 "expected exactly |E| = %llu (W=%d)\n",
+                 static_cast<unsigned long long>(
+                     bsp_push_varint.bootstrap_adjacency_reads),
+                 static_cast<unsigned long long>(graph.num_edges()),
+                 bsp_workers);
+    return 2;
   }
   const double bootstrap_passes =
-      static_cast<double>(bsp_push.bootstrap_adjacency_reads) /
+      static_cast<double>(bsp_push_varint.bootstrap_adjacency_reads) /
       static_cast<double>(std::max<uint64_t>(1, graph.num_edges()));
 
   // Scan-kernel series: the push argmax primitive on a synthetic accumulator
@@ -448,7 +466,7 @@ int main(int argc, char** argv) {
 
   const double speedup = full.mean_ms / incremental.mean_ms;
   const double push_speedup = incremental.mean_ms / push.mean_ms;
-  const double bsp_speedup = bsp_pull.mean_ms / bsp_push.mean_ms;
+  const double bsp_speedup = bsp_pull.mean_ms / bsp_push_varint.mean_ms;
   const double bsp_s2_reduction =
       static_cast<double>(bsp_pull.steady_s2_bytes) /
       static_cast<double>(std::max<uint64_t>(1, bsp_push.steady_s2_bytes));
@@ -475,8 +493,8 @@ int main(int argc, char** argv) {
               bsp_pull.mean_ms, bsp_workers,
               static_cast<unsigned long long>(bsp_pull.steady_s2_bytes));
   std::printf("bsp delta    : %.3f ms/iteration (W=%d, steady S2 %llu remote "
-              "bytes, %llu delta records)\n",
-              bsp_push.mean_ms, bsp_workers,
+              "bytes as raw records, %llu delta records)\n",
+              bsp_push_varint.mean_ms, bsp_workers,
               static_cast<unsigned long long>(bsp_push.steady_s2_bytes),
               static_cast<unsigned long long>(bsp_push.delta_records));
   std::printf("bsp          : %.2fx iteration speedup, %.2fx superstep-2 "
@@ -486,9 +504,8 @@ int main(int argc, char** argv) {
       static_cast<double>(bsp_push.steady_s2_bytes) /
       static_cast<double>(
           std::max<uint64_t>(1, bsp_push_varint.steady_s2_bytes));
-  std::printf("bsp varint   : %.3f ms/iteration (steady S2 %llu remote bytes "
-              "— %.2fx below raw delta records)\n",
-              bsp_push_varint.mean_ms,
+  std::printf("bsp varint   : steady S2 %llu remote bytes — %.2fx below raw "
+              "delta records\n",
               static_cast<unsigned long long>(bsp_push_varint.steady_s2_bytes),
               varint_reduction);
   std::printf("bsp envelope : %llu bytes steady overhead = %.2f%% of the "
@@ -501,7 +518,7 @@ int main(int argc, char** argv) {
   std::printf("bootstrap    : %llu adjacency reads = %.2f passes over |E| "
               "(W=%d)\n",
               static_cast<unsigned long long>(
-                  bsp_push.bootstrap_adjacency_reads),
+                  bsp_push_varint.bootstrap_adjacency_reads),
               bootstrap_passes, bsp_workers);
   if (have_simd) {
     std::printf("scan kernel  : scalar %.4f ms, avx2 %.4f ms (%.2fx, %zu "
@@ -513,7 +530,7 @@ int main(int argc, char** argv) {
                 scan_scalar_mean);
   }
   const double grouped_bsp_speedup =
-      bsp_pull_grouped.mean_ms / bsp_push_grouped.mean_ms;
+      bsp_pull_grouped.mean_ms / bsp_push_grouped_varint.mean_ms;
   const double grouped_s2_reduction =
       static_cast<double>(bsp_pull_grouped.steady_s2_bytes) /
       static_cast<double>(
@@ -525,8 +542,8 @@ int main(int argc, char** argv) {
                   bsp_pull_grouped.steady_s2_bytes),
               static_cast<unsigned long long>(grouped_warm_iterations));
   std::printf("bsp grouped delta: %.3f ms/iteration (steady S2 %llu remote "
-              "bytes, %llu delta records)\n",
-              bsp_push_grouped.mean_ms,
+              "bytes as raw records, %llu delta records)\n",
+              bsp_push_grouped_varint.mean_ms,
               static_cast<unsigned long long>(
                   bsp_push_grouped.steady_s2_bytes),
               static_cast<unsigned long long>(
@@ -539,9 +556,8 @@ int main(int argc, char** argv) {
       static_cast<double>(bsp_push_grouped.steady_s2_bytes) /
       static_cast<double>(
           std::max<uint64_t>(1, bsp_push_grouped_varint.steady_s2_bytes));
-  std::printf("bsp grouped varint: %.3f ms/iteration (steady S2 %llu remote "
-              "bytes — %.2fx below raw)\n",
-              bsp_push_grouped_varint.mean_ms,
+  std::printf("bsp grouped varint: steady S2 %llu remote bytes — %.2fx "
+              "below raw\n",
               static_cast<unsigned long long>(
                   bsp_push_grouped_varint.steady_s2_bytes),
               grouped_varint_reduction);
@@ -610,6 +626,26 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out, "]\n  }");
   };
+  // A raw-record twin has no run of its own: it carries the derived byte
+  // series and names the run it was derived from, and no timing.
+  auto write_raw_twin = [&](const char* name, const char* derived_from,
+                            const BspTiming& t) {
+    std::fprintf(out,
+                 "  \"%s\": {\n"
+                 "    \"derived_from\": \"%s\",\n"
+                 "    \"workers\": %d,\n"
+                 "    \"steady_s2_remote_bytes\": %llu,\n"
+                 "    \"delta_records\": %llu,\n"
+                 "    \"s2_remote_bytes\": [",
+                 name, derived_from, bsp_workers,
+                 static_cast<unsigned long long>(t.steady_s2_bytes),
+                 static_cast<unsigned long long>(t.delta_records));
+    for (size_t i = 0; i < t.s2_remote_bytes.size(); ++i) {
+      std::fprintf(out, "%s%llu", i == 0 ? "" : ", ",
+                   static_cast<unsigned long long>(t.s2_remote_bytes[i]));
+    }
+    std::fprintf(out, "]\n  }");
+  };
   write_series("full_rebuild", full);
   std::fprintf(out, ",\n");
   write_series("incremental", incremental);
@@ -631,13 +667,14 @@ int main(int argc, char** argv) {
   };
   write_bsp_series("bsp_pull", bsp_pull);
   std::fprintf(out, ",\n");
-  write_bsp_series("bsp_push", bsp_push);
+  write_raw_twin("bsp_push", "bsp_push_varint", bsp_push);
   std::fprintf(out, ",\n");
   write_bsp_series("bsp_push_varint", bsp_push_varint);
   std::fprintf(out, ",\n");
   write_bsp_series("bsp_pull_grouped", bsp_pull_grouped);
   std::fprintf(out, ",\n");
-  write_bsp_series("bsp_push_grouped", bsp_push_grouped);
+  write_raw_twin("bsp_push_grouped", "bsp_push_grouped_varint",
+                 bsp_push_grouped);
   std::fprintf(out, ",\n");
   write_bsp_series("bsp_push_grouped_varint", bsp_push_grouped_varint);
   std::fprintf(out, ",\n");
@@ -667,7 +704,7 @@ int main(int argc, char** argv) {
                grouped_bsp_speedup, grouped_s2_reduction,
                grouped_fanout_rel_diff, grouped_varint_reduction,
                static_cast<unsigned long long>(
-                   bsp_push.bootstrap_adjacency_reads),
+                   bsp_push_varint.bootstrap_adjacency_reads),
                bootstrap_passes, simd_speedup);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -45,33 +44,9 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_tasks_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_tasks_;
-      if (active_tasks_ == 0 && tasks_.empty()) all_done_.notify_all();
-    }
   }
-}
-
-bool ThreadPool::RunOneTask() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-    ++active_tasks_;
-  }
-  task();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_tasks_;
-    if (active_tasks_ == 0 && tasks_.empty()) all_done_.notify_all();
-  }
-  return true;
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -81,18 +56,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     tasks_.push(std::move(task));
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  // If called from inside a worker (nested parallelism in recursive
-  // bisection), help drain the queue instead of deadlocking on ourselves.
-  if (t_inside_pool_worker) {
-    while (RunOneTask()) {
-    }
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock,
-                 [this] { return tasks_.empty() && active_tasks_ == 0; });
 }
 
 void ThreadPool::ParallelFor(
@@ -107,7 +70,11 @@ void ThreadPool::ParallelFor(
     fn(0, n, 0);
     return;
   }
-  std::atomic<std::size_t> remaining{workers};
+  // The barrier state lives on this stack frame, so a chunk must be done
+  // touching it before the caller can observe remaining == 0 and return:
+  // the decrement and the notify both happen under done_mutex, and the
+  // caller re-checks remaining under the same lock.
+  std::size_t remaining = workers;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   const std::size_t chunk = (n + workers - 1) / workers;
@@ -116,14 +83,12 @@ void ThreadPool::ParallelFor(
     const std::size_t end = std::min(n, begin + chunk);
     Submit([&, begin, end, w] {
       if (begin < end) fn(begin, end, w);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 void ThreadPool::ParallelForEach(std::size_t n,

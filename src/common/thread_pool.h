@@ -42,22 +42,15 @@ class ThreadPool {
   void ParallelForEach(std::size_t n,
                        const std::function<void(std::size_t)>& fn);
 
-  /// Enqueues an independent task; use Wait() to drain.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until all Submitted tasks have completed.
-  void Wait();
-
  private:
+  /// Enqueues one ParallelFor chunk for the next idle worker.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
-  bool RunOneTask();  // returns false if queue empty
 
   std::vector<std::thread> threads_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t active_tasks_ = 0;
   bool shutting_down_ = false;
 };
 

@@ -197,7 +197,6 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
   for (const auto& [i, j] : matrix.SortedPairs()) {
     pair_prob[PackPair(i, j)] = matrix.MoveProbability(i, j);
   }
-  const bool skip_dead = options_.skip_zero_probability_pairs;
   std::vector<uint8_t> decided(n, 0);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
@@ -208,7 +207,7 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
       const BucketId from =
           partition->bucket_of(static_cast<VertexId>(v));
       const double pair = pair_prob.at(PackPair(from, targets[v]));
-      if (skip_dead && pair <= 0.0) continue;
+      if (pair <= 0.0) continue;
       ++draws;
       const double prob = std::min(pair, options_.max_move_probability) *
                           options_.probability_damping;
@@ -430,11 +429,7 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   // whose pair row is all zero draws against probability 0 in every bin —
   // it can never fire, so skipping the hash leaves the trajectory unchanged
   // while the draw scan shrinks to the pairs the master matched.
-  const std::unordered_set<uint64_t> live_pairs =
-      options_.skip_zero_probability_pairs
-          ? table.LivePairKeys()
-          : std::unordered_set<uint64_t>{};
-  const bool skip_dead = options_.skip_zero_probability_pairs;
+  const std::unordered_set<uint64_t> live_pairs = table.LivePairKeys();
   std::vector<uint8_t> decided(n, 0);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
@@ -444,9 +439,7 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
       if (targets[v] < 0) continue;
       const BucketId from =
           partition->bucket_of(static_cast<VertexId>(v));
-      if (skip_dead && live_pairs.count(PackPair(from, targets[v])) == 0) {
-        continue;
-      }
+      if (live_pairs.count(PackPair(from, targets[v])) == 0) continue;
       ++draws;
       const double prob =
           std::min(table.Lookup(binning, from, targets[v], gains[v]),

@@ -56,13 +56,6 @@ struct MoveBrokerOptions {
   /// §3.4 "imbalanced swaps": also move unmatched positive-gain vertices
   /// into buckets with spare capacity (histogram strategy only).
   bool use_capacity_slack = true;
-  /// Superstep-4 draw floor: proposals whose (from, target) probability row
-  /// is all zero skip the per-vertex draw — a zero probability can never
-  /// fire, so the move trajectory is identical and the steady-state
-  /// O(#proposals) draw scan shrinks to the pairs the master actually
-  /// matched. false restores the draw-everything reference (the regression
-  /// test compares the two trajectories).
-  bool skip_zero_probability_pairs = true;
   /// Ceiling on executed moves per round; 0 = unlimited. The online
   /// repartitioning stability knob (paper §5(i) alongside damping): when a
   /// round's drawn movers exceed the budget, the highest-gain movers are
@@ -77,8 +70,10 @@ struct MoveOutcome {
   uint64_t num_proposals = 0;  ///< vertices with a valid target
   uint64_t num_moved = 0;      ///< moves that stuck (after repair)
   uint64_t num_reverted = 0;   ///< repair reversions
-  /// Probability draws evaluated (≤ num_proposals once the draw floor
-  /// skips all-zero probability rows; kExactPairing draws nothing).
+  /// Probability draws evaluated. Superstep-4 draw floor: a proposal whose
+  /// (from, target) probability row is all zero can never fire, so its draw
+  /// is skipped without changing the trajectory — ≤ num_proposals, and
+  /// kExactPairing draws nothing.
   uint64_t num_draws = 0;
   double gain_moved = 0.0;     ///< Σ gains of surviving moves
   /// Net executed moves of the round (post balance-repair; a reverted vertex

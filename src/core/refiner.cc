@@ -86,35 +86,6 @@ Refiner::Proposal Refiner::ComputeProposal(
   return {best_target, best_gain};
 }
 
-bool Refiner::ContextMatches(const MoveTopology& topo,
-                             const std::vector<BucketId>* anchor,
-                             double anchor_penalty) const {
-  if (!has_cached_topo_) return false;
-  if (cached_topo_.k != topo.k || cached_topo_.full_k != topo.full_k ||
-      cached_topo_.group_of_bucket != topo.group_of_bucket ||
-      cached_topo_.group_children != topo.group_children) {
-    return false;
-  }
-  // Capacity is a broker concern; proposals do not depend on it.
-  const bool has_anchor = anchor != nullptr && anchor_penalty != 0.0;
-  if (has_anchor != cached_has_anchor_) return false;
-  if (has_anchor && (cached_anchor_penalty_ != anchor_penalty ||
-                     cached_anchor_ != *anchor)) {
-    return false;
-  }
-  return true;
-}
-
-void Refiner::SnapshotContext(const MoveTopology& topo,
-                              const std::vector<BucketId>* anchor,
-                              double anchor_penalty) {
-  cached_topo_ = topo;
-  has_cached_topo_ = true;
-  cached_has_anchor_ = anchor != nullptr && anchor_penalty != 0.0;
-  cached_anchor_ = cached_has_anchor_ ? *anchor : std::vector<BucketId>{};
-  cached_anchor_penalty_ = cached_has_anchor_ ? anchor_penalty : 0.0;
-}
-
 IterationStats Refiner::RunIteration(const MoveTopology& topo,
                                      Partition* partition, uint64_t seed,
                                      uint64_t iteration, ThreadPool* pool,
@@ -158,21 +129,18 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     ++num_sweep_builds_;
   }
 
-  // Exploration draw. Preselected mode draws ≈ n·prob firing vertices up
-  // front (a compact list, so the steady-state pass never hashes the other
-  // vertices); legacy mode evaluates the Bernoulli hash per vertex inside
-  // the O(n) pass below.
+  // Exploration draw: ≈ n·prob firing vertices drawn up front into a compact
+  // list, so the steady-state pass never hashes the other vertices.
   const bool explore = topo.full_k && options_.exploration_probability > 0.0;
-  const bool preselect = explore && options_.preselect_exploration;
   firing_list_.clear();
-  if (preselect) {
+  if (explore) {
     if (explore_target_.size() < n) explore_target_.assign(n, -1);
     const uint64_t draws = static_cast<uint64_t>(
         static_cast<double>(n) * options_.exploration_probability + 0.5);
     for (uint64_t i = 0; i < draws; ++i) {
       // Sampling with replacement over hashed indices; duplicates collapse,
       // so the firing count is ≤ draws (statistically indistinguishable from
-      // the Bernoulli draw at these rates).
+      // a per-vertex Bernoulli draw at these rates).
       const VertexId v = static_cast<VertexId>(
           HashToBounded(seed ^ 0xe791, iteration * 0x10001 + 1, i, n));
       if (explore_target_[v] != -1) continue;
@@ -182,25 +150,17 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     }
   }
   const auto explore_target_for = [&](VertexId v) -> BucketId {
-    if (!explore) return -1;
-    if (preselect) return explore_target_[v];
-    if (HashToUnitDouble(seed ^ 0xe791, iteration * 0x10001 + 1, v) <
-        options_.exploration_probability) {
-      return static_cast<BucketId>(HashToBounded(
-          seed ^ 0x77aa, iteration, v, static_cast<uint64_t>(topo.k)));
-    }
-    return -1;
+    return explore ? explore_target_[v] : -1;
   };
 
   // Superstep 2: move proposals. A full pass recomputes every vertex; the
   // steady-state pass recomputes only the compact work list — vertices
   // adjacent to a query whose neighbor data changed last round, last
   // round's explorers (their cached proposal is not reusable), and this
-  // round's firing list. The legacy per-vertex exploration draw cannot know
-  // the firing set without hashing all n vertices, so it keeps the O(n)
-  // skip-scan.
-  const bool recompute_all = !options_.incremental || !proposals_valid_ ||
-                             !ContextMatches(topo, anchor, anchor_penalty);
+  // round's firing list.
+  const bool recompute_all =
+      !options_.incremental || !proposals_valid_ ||
+      !proposal_context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   if (workspaces_.size() < num_workers) workspaces_.resize(num_workers);
   const auto ensure_workspace = [&](Workspace& ws) {
@@ -221,13 +181,12 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     cache_valid_[v] = cacheable ? 1 : 0;
   };
 
-  bool compact_pass = false;
   if (recompute_all) {
     targets_.assign(n, -1);
     gains_.assign(n, 0.0);
     cache_valid_.assign(n, 0);
     recompute_.assign(n, 0);
-    SnapshotContext(topo, anchor, anchor_penalty);
+    proposal_context_.Snapshot(topo, anchor, anchor_penalty);
     pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
       Workspace& ws = workspaces_[w];
       ensure_workspace(ws);
@@ -236,12 +195,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       }
     });
     stats.num_recomputed = n;
-  } else if (!explore || preselect) {
+  } else {
     // Compact steady-state pass: claim the blast radius of last round's
     // moves through the recompute marks (different queries share data
     // vertices; atomic exchange makes each vertex appear once), then fold
     // in the stale and firing lists.
-    compact_pass = true;
     recompute_list_.clear();
     collect_.resize(std::max(collect_.size(), num_workers));
     if (!dirty_list_.empty()) {
@@ -284,43 +242,13 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
                         }
                       });
     stats.num_recomputed = recompute_list_.size();
-  } else {
-    // Legacy O(n) skip-scan (per-vertex Bernoulli exploration draw): mark
-    // the blast radius, then visit every vertex and skip the clean ones.
-    if (!dirty_list_.empty()) {
-      pool->ParallelForEach(dirty_list_.size(), [&](size_t i) {
-        for (VertexId v : graph_.QueryNeighbors(dirty_list_[i])) {
-          std::atomic_ref<uint8_t>(recompute_[v])
-              .store(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    std::vector<uint64_t> recomputed_per_worker(num_workers, 0);
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = workspaces_[w];
-      ensure_workspace(ws);
-      uint64_t recomputed = 0;
-      for (size_t vi = begin; vi < end; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        const bool fires =
-            HashToUnitDouble(seed ^ 0xe791, iteration * 0x10001 + 1, v) <
-            options_.exploration_probability;
-        if (!fires && cache_valid_[v] && !recompute_[v]) continue;
-        recompute_vertex(v, ws);
-        ++recomputed;
-      }
-      recomputed_per_worker[w] += recomputed;
-    });
-    for (const uint64_t r : recomputed_per_worker) stats.num_recomputed += r;
   }
 
   // Next round's stale list: this round's explorers hold uncacheable
-  // proposals. (Legacy mode detects them through the O(n) scan instead.)
+  // proposals.
   stale_list_.clear();
-  if (preselect) {
-    for (const VertexId v : firing_list_) {
-      if (!cache_valid_[v]) stale_list_.push_back(v);
-    }
+  for (const VertexId v : firing_list_) {
+    if (!cache_valid_[v]) stale_list_.push_back(v);
   }
 
 #ifndef NDEBUG
@@ -399,19 +327,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
 #endif
 
   // Clear this round's recompute marks (the compact pass claims exactly the
-  // work list; the legacy pass marks through the dirty list) and the
-  // preselected exploration targets — keeps both arrays all-zero/-1 between
-  // iterations without an O(n) sweep.
-  if (compact_pass && !recompute_list_.empty()) {
+  // work list) and the exploration targets — keeps both arrays all-zero/-1
+  // between iterations without an O(n) sweep.
+  if (!recompute_all && !recompute_list_.empty()) {
     pool->ParallelForEach(recompute_list_.size(), [&](size_t i) {
       recompute_[recompute_list_[i]] = 0;
-    });
-  } else if (!recompute_all && !dirty_list_.empty()) {
-    pool->ParallelForEach(dirty_list_.size(), [&](size_t i) {
-      for (VertexId v : graph_.QueryNeighbors(dirty_list_[i])) {
-        std::atomic_ref<uint8_t>(recompute_[v])
-            .store(0, std::memory_order_relaxed);
-      }
     });
   }
   for (const VertexId v : firing_list_) explore_target_[v] = -1;
@@ -422,11 +342,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   // gain) than last round — last round's movers are always inside this
   // round's blast radius (ApplyMoves marks all of a mover's queries
   // touched, and the mover neighbors its own queries), so the list also
-  // covers every bucket_of change. Non-compact rounds (recompute-all,
-  // legacy skip-scan) pass nullptr and re-prime the broker's state.
+  // covers every bucket_of change. Recompute-all rounds pass nullptr and
+  // re-prime the broker's state.
   const MoveOutcome outcome =
       broker_.Apply(topo, targets_, gains_, seed, iteration, partition, pool,
-                    compact_pass ? &recompute_list_ : nullptr);
+                    recompute_all ? nullptr : &recompute_list_);
 
   const bool high_churn =
       static_cast<double>(outcome.moves.size()) >

@@ -49,6 +49,7 @@
 #include "core/move_broker.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
+#include "core/proposal_context.h"
 #include "graph/bipartite_graph.h"
 #include "objective/affinity_sweep.h"
 #include "objective/gain.h"
@@ -74,19 +75,12 @@ struct RefinerOptions {
   /// min(S_ij, S_ji) matching when buckets hold few vertices; a small
   /// exploration rate diversifies the proposal matrix. 0 disables
   /// (Algorithm 1 verbatim); the k-way driver defaults to a small value.
+  /// The ≈ n·exploration_probability exploring vertices are drawn up front
+  /// into a compact firing list (sampling with replacement over hashed
+  /// indices), so the steady-state pass iterates only the recompute list —
+  /// blast radius ∪ last round's explorers ∪ this round's firing list. The
+  /// threaded Refiner implements this; the BSP engine ignores it.
   double exploration_probability = 0.0;
-  /// Draw the ≈ n·exploration_probability exploring vertices up front into a
-  /// compact firing list (sampling with replacement over hashed indices)
-  /// instead of hashing every vertex per round. This lets the steady-state
-  /// pass iterate only the recompute list — blast radius ∪ last round's
-  /// explorers ∪ this round's firing list — never touching clean vertices.
-  /// The drawn set differs from the legacy per-vertex Bernoulli draw
-  /// (statistics match, trajectories don't), so the legacy draw stays
-  /// selectable. (Note: even with the legacy draw, trajectories can differ
-  /// from earlier revisions on exact affinity ties — the best-target scan
-  /// now tie-breaks on the lowest bucket id instead of first encounter, so
-  /// pull and push resolve ties identically.)
-  bool preselect_exploration = true;
   /// Superstep-2 scan direction. kAuto uses push whenever it is available:
   /// a nonzero pow base (p < 1 or future_splits > 1); only the p = 1, t = 1
   /// limit falls back to pull. Grouped recursion windows run push over the
@@ -256,15 +250,6 @@ class Refiner : public RefinerInterface {
                            double anchor_penalty, Workspace* ws,
                            bool* cacheable) const;
 
-  /// True iff the cached proposals were computed under an identical
-  /// topology / anchor context.
-  bool ContextMatches(const MoveTopology& topo,
-                      const std::vector<BucketId>* anchor,
-                      double anchor_penalty) const;
-  void SnapshotContext(const MoveTopology& topo,
-                       const std::vector<BucketId>* anchor,
-                       double anchor_penalty);
-
   const BipartiteGraph& graph_;
   RefinerOptions options_;
   GainComputer gain_;
@@ -286,17 +271,12 @@ class Refiner : public RefinerInterface {
   std::vector<VertexId> stale_list_;  ///< last round's explorers (cache inv.)
 
   // Per-iteration exploration/work-list scratch (reused across iterations).
-  std::vector<BucketId> explore_target_;  ///< preselected draw (-1 = none)
+  std::vector<BucketId> explore_target_;  ///< this round's draw (-1 = none)
   std::vector<VertexId> firing_list_;     ///< this round's exploring vertices
   std::vector<VertexId> recompute_list_;  ///< compact steady-state work list
   std::vector<std::vector<VertexId>> collect_;  ///< per-worker claim lists
 
-  // Cached proposal context (proposals depend on these beyond the ndata).
-  MoveTopology cached_topo_;
-  bool has_cached_topo_ = false;
-  std::vector<BucketId> cached_anchor_;
-  bool cached_has_anchor_ = false;
-  double cached_anchor_penalty_ = 0.0;
+  ProposalContext proposal_context_;  ///< context of the cached proposals
 
   std::vector<Workspace> workspaces_;
   uint64_t num_full_rebuilds_ = 0;

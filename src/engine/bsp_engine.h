@@ -24,13 +24,6 @@ class ThreadPool;
 struct BspConfig {
   int num_workers = 4;  ///< simulated machines (paper's experiments use 4-16)
   uint64_t shard_seed = 0x5ca1ab1e;  ///< vertex -> worker hashing seed
-  /// Exchange superstep-2 deltas through the grouped varint codec
-  /// (engine/wire_format.h) instead of the raw 16-byte records. With the
-  /// self-verifying envelope this is the load-bearing wire path: the receiver
-  /// consumes the decoded frames. The codec is lossless, so the refinement
-  /// trajectory is unchanged. false = reference switch to the raw format
-  /// (accounting only, no envelope, no fault injection on the wire).
-  bool varint_wire = true;
 
   // Fault-tolerant superstep protocol (docs/distributed.md).
   /// Retransmissions per (src, dst) link per epoch after the first delivery

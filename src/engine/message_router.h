@@ -171,31 +171,6 @@ class MessageRouter {
     return stats;
   }
 
-  /// Whole-buffer variant: `bytes_of(buffer)` gives the wire bytes of one
-  /// remote (src, dst) buffer as a unit — for codecs with cross-message
-  /// framing (the grouped delta format shares group headers and delta chains
-  /// across records, so per-message sizing cannot express it).
-  template <typename BufferSizeFn>
-  RouteStats CollectAndClearBuffered(const BufferSizeFn& bytes_of) {
-    RouteStats stats;
-    for (int src = 0; src < num_workers_; ++src) {
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& buffer = buffers_[Index(src, dst)];
-        if (src == dst) {
-          stats.local_messages += buffer.size();
-          continue;
-        }
-        stats.remote_messages += buffer.size();
-        const uint64_t bytes = bytes_of(buffer);
-        stats.remote_bytes += bytes;
-        out_bytes_[static_cast<size_t>(src)] += bytes;
-        in_bytes_[static_cast<size_t>(dst)] += bytes;
-      }
-    }
-    for (auto& buffer : buffers_) buffer.clear();
-    return stats;
-  }
-
   /// Per-link variant: `bytes_of(src, dst, buffer)` gives the wire bytes of
   /// one remote buffer. Used when the bytes were already determined during
   /// the (enveloped) transfer — the accounting then replays the recorded

@@ -135,36 +135,6 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
   return worst;
 }
 
-bool BspRefiner::ContextMatches(const MoveTopology& topo,
-                                const std::vector<BucketId>* anchor,
-                                double anchor_penalty, bool push) const {
-  if (!has_cached_topo_ || cached_push_ != push) return false;
-  if (cached_topo_.k != topo.k || cached_topo_.full_k != topo.full_k ||
-      cached_topo_.group_of_bucket != topo.group_of_bucket ||
-      cached_topo_.group_children != topo.group_children) {
-    return false;
-  }
-  // Capacity is a broker concern; proposals do not depend on it.
-  const bool has_anchor = anchor != nullptr && anchor_penalty != 0.0;
-  if (has_anchor != cached_has_anchor_) return false;
-  if (has_anchor && (cached_anchor_penalty_ != anchor_penalty ||
-                     cached_anchor_ != *anchor)) {
-    return false;
-  }
-  return true;
-}
-
-void BspRefiner::SnapshotContext(const MoveTopology& topo,
-                                 const std::vector<BucketId>* anchor,
-                                 double anchor_penalty, bool push) {
-  cached_topo_ = topo;
-  has_cached_topo_ = true;
-  cached_has_anchor_ = anchor != nullptr && anchor_penalty != 0.0;
-  cached_anchor_ = cached_has_anchor_ ? *anchor : std::vector<BucketId>{};
-  cached_anchor_penalty_ = cached_has_anchor_ ? anchor_penalty : 0.0;
-  cached_push_ = push;
-}
-
 GainComputer::BestTarget BspRefiner::PullBestTarget(
     const MoveTopology& topo, VertexId v, BucketId from,
     std::vector<double>* affinity_scratch,
@@ -448,17 +418,19 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
 #endif
 
   // ---------------------------------------------------------------- S2 ---
-  const bool context_ok = ContextMatches(topo, anchor, anchor_penalty, push);
-  if (!context_ok) SnapshotContext(topo, anchor, anchor_penalty, push);
-  // Enveloped wire path: under the grouped varint codec every remote delta
-  // buffer crosses the fabric as one self-verifying frame through the fault
-  // injector, and the receiver consumes the decoded records. The raw
-  // reference switch (varint_wire = false) keeps the in-memory exchange.
-  const bool enveloped = push && config_.varint_wire;
+  // Proposals also depend on the scan direction: a push/pull switch
+  // recomputes everything.
+  const bool context_ok =
+      cached_push_ == push &&
+      proposal_context_.Matches(topo, anchor, anchor_penalty);
+  if (!context_ok) {
+    proposal_context_.Snapshot(topo, anchor, anchor_penalty);
+    cached_push_ = push;
+  }
   // Degraded mode: while any link is in backoff the delta exchange stays
   // suspended — full-reship bootstraps (which bypass the link protocol)
   // until the backoff expires.
-  const bool degraded = enveloped && backoff_links > 0;
+  const bool degraded = push && backoff_links > 0;
   bool bootstrap = push && (!sweep_valid_ || degraded);
 
   stats.full_rebuild = full_scan;
@@ -474,7 +446,6 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   std::vector<uint64_t> s2_patch_work(static_cast<size_t>(W), 0);
   SuperstepStats s2;
 
-  bool transfer_ran = false;
   if (push && !bootstrap) {
     // Delta-exchange send: each dirty query's owner ships the sparse
     // NeighborDelta records produced while folding superstep 1 — O(delta
@@ -504,19 +475,17 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       }
       return work;
     });
-    if (enveloped) {
-      // Enveloped transfer: encode, frame, deliver (through the injector,
-      // with bounded same-sequence retransmission), verify, decode into
-      // s2_inbox_. A link that exhausts its retries is unrecoverable this
-      // epoch — the recovery action is the same replica invalidation +
-      // full-reship the churn guard uses, taken in this same iteration.
-      transfer_ran = true;
-      if (!TransferEnveloped(epoch, router2d, &s2, &stats)) {
-        sweep_valid_ = false;
-        bootstrap = true;
-        ++stats.reship_recoveries;
-        ++counters_.reship_recoveries;
-      }
+    // Enveloped transfer: every remote delta buffer is encoded under the
+    // grouped varint codec, framed, delivered (through the injector, with
+    // bounded same-sequence retransmission), verified and decoded into
+    // s2_inbox_. A link that exhausts its retries is unrecoverable this
+    // epoch — the recovery action is the same replica invalidation +
+    // full-reship the churn guard uses, taken in this same iteration.
+    if (!TransferEnveloped(epoch, router2d, &s2, &stats)) {
+      sweep_valid_ = false;
+      bootstrap = true;
+      ++stats.reship_recoveries;
+      ++counters_.reship_recoveries;
     }
   }
 
@@ -626,19 +595,12 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     // Receive: each worker consumes its inbox (src order keeps every
     // per-(q, bucket) chain intact — a query's records come from its single
     // owner), marks the blast radius, and patches the accumulator replicas.
-    // On the enveloped wire path the inbox was already filled by the
-    // verified transfer above — the records here are the *decoded* frames;
-    // the raw reference switch drains the router buffers directly.
+    // The verified transfer above already filled the inbox — the records
+    // here are the *decoded* frames.
     s2_recv_work = RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
-      std::vector<NeighborDelta>& inbox = s2_inbox_[static_cast<size_t>(w)];
-      if (!transfer_ran) {
-        inbox.clear();
-        for (int src = 0; src < W; ++src) {
-          const auto& in = router2d.Incoming(src, w);
-          inbox.insert(inbox.end(), in.begin(), in.end());
-        }
-      }
+      const std::vector<NeighborDelta>& inbox =
+          s2_inbox_[static_cast<size_t>(w)];
       if (!recompute_all) {
         VertexId last_q = static_cast<VertexId>(-1);
         for (const NeighborDelta& rec : inbox) {
@@ -811,25 +773,15 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // Delta records go on the wire under the grouped varint codec; the payload
   // byte series counts exactly the grouped stream, with the envelope framing
   // tracked separately in s2.envelope_bytes so the series stays comparable
-  // across the protocol change. When the enveloped transfer ran, the
-  // accounting replays the per-link payload sizes it recorded instead of
-  // re-encoding every buffer. Each (src, dst) buffer is one encode unit —
-  // per-query group headers and same-bucket delta chains span records, so
-  // sizing is per buffer, not per message.
-  if (transfer_ran) {
-    s2.traffic += router2d.CollectAndClearPerLink(
-        [this](int src, int dst, const std::vector<NeighborDelta>&) {
-          return link_payload_bytes_[LinkIndex(src, dst)];
-        });
-  } else if (config_.varint_wire) {
-    s2.traffic +=
-        router2d.CollectAndClearBuffered([](const std::vector<NeighborDelta>&
-                                                buffer) {
-          return wire::GroupedWireBytes(buffer);
-        });
-  } else {
-    s2.traffic += router2d.CollectAndClear(wire::kRawDeltaBytes);
-  }
+  // across the protocol change. The accounting replays the per-link payload
+  // sizes the enveloped transfer recorded instead of re-encoding every
+  // buffer. Only a transfer fills router2d, so a nonempty buffer always has
+  // this epoch's size recorded (and an empty one encodes to zero bytes).
+  s2.traffic += router2d.CollectAndClearPerLink(
+      [this](int src, int dst, const std::vector<NeighborDelta>& buffer) {
+        return buffer.empty() ? uint64_t{0}
+                              : link_payload_bytes_[LinkIndex(src, dst)];
+      });
   s2.work_units.resize(static_cast<size_t>(W));
   for (int w = 0; w < W; ++w) {
     s2.work_units[static_cast<size_t>(w)] =
@@ -1040,9 +992,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // their draws are skipped outright — on a converged instance the draw
   // count collapses while the trajectory is unchanged (probability-0 draws
   // never fire anyway).
-  const bool skip_dead = options_.broker.skip_zero_probability_pairs;
-  const std::unordered_set<uint64_t> live_pairs =
-      skip_dead ? table.LivePairKeys() : std::unordered_set<uint64_t>{};
+  const std::unordered_set<uint64_t> live_pairs = table.LivePairKeys();
   std::vector<uint64_t> s4_draws(static_cast<size_t>(W), 0);
   for (int w = 0; w < W; ++w) mover_lists_[static_cast<size_t>(w)].clear();
   std::vector<uint64_t> s4_work = RunPhase(W, pool, [&](int w) -> uint64_t {
@@ -1052,8 +1002,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       if (cached_target_[v] < 0) continue;
       ++work;
-      if (skip_dead &&
-          live_pairs.count(
+      if (live_pairs.count(
               PackPair(partition->bucket_of(v), cached_target_[v])) == 0) {
         continue;
       }

@@ -29,7 +29,8 @@
 //          level advance re-slices each group's scan window and patches the
 //          replicas from the diff-scan records; it does not reship.
 //      In either mode, clean vertices keep their cached proposal — their
-//      gains cannot have changed.
+//      gains cannot have changed. Every proposal is the argmax target:
+//      RefinerOptions::exploration_probability is not implemented here.
 //   3. data → master: per-worker (bucket-pair, gain-bin) histograms. The
 //      histograms are maintained *incrementally* from the compact
 //      changed-proposal list (this round's recomputed vertices), so the
@@ -78,6 +79,7 @@
 
 #include "core/gain_histogram.h"
 #include "core/move_topology.h"
+#include "core/proposal_context.h"
 #include "core/refiner.h"
 #include "engine/bsp_engine.h"
 #include "engine/message_router.h"
@@ -173,15 +175,6 @@ class BspRefiner : public RefinerInterface {
     uint64_t total = 0;
   };
 
-  /// True iff the cached proposals were computed under an identical
-  /// topology / anchor / scan-direction context.
-  bool ContextMatches(const MoveTopology& topo,
-                      const std::vector<BucketId>* anchor,
-                      double anchor_penalty, bool push) const;
-  void SnapshotContext(const MoveTopology& topo,
-                       const std::vector<BucketId>* anchor,
-                       double anchor_penalty, bool push);
-
   /// Pull-path proposal of v from the query replicas (the reference scan;
   /// shared tie-break and empty-window fallback with FindBestTargetPush).
   /// Adds the sparse-affinity scan cost to *work.
@@ -273,12 +266,8 @@ class BspRefiner : public RefinerInterface {
   bool proposals_valid_ = false;
 
   // Cached proposal context (proposals depend on these beyond the replicas).
-  MoveTopology cached_topo_;
-  bool has_cached_topo_ = false;
-  std::vector<BucketId> cached_anchor_;
-  bool cached_has_anchor_ = false;
-  double cached_anchor_penalty_ = 0.0;
-  bool cached_push_ = false;
+  ProposalContext proposal_context_;
+  bool cached_push_ = false;  ///< scan direction of the cached proposals
 
   // Incrementally maintained superstep-3 histograms plus each vertex's last
   // contribution (pair key / bin), so one changed proposal costs two counter

@@ -31,8 +31,8 @@
 // encodes its records, wraps them in the self-verifying envelope below, and
 // the receiver decodes the wire image — the structs the accumulator replicas
 // patch from are the *decoded* ones, so the wire format is load-bearing, not
-// accounting-only. The raw 16-byte sizing remains available as a reference
-// switch (BspConfig::varint_wire = false; accounting only).
+// accounting-only. The raw 16-byte record size (kRawDeltaBytes) is only a
+// comparison figure, which benches and tests derive from record counts.
 //
 // Envelope grammar (docs/distributed.md "Failure model & recovery"):
 //
@@ -56,7 +56,8 @@
 
 namespace shp::wire {
 
-/// Bytes per record of the raw (reference) wire format.
+/// Bytes per record of the raw fixed-width delta format — the figure the
+/// varint codec's byte reduction is measured against.
 inline constexpr size_t kRawDeltaBytes = sizeof(NeighborDelta);
 
 /// Appends the LEB128 varint encoding of `value` (7 bits per byte, high bit

@@ -1,15 +1,13 @@
-// Unit tests for src/common: status, rng, histogram, stats, table, flags,
-// csv, env helpers, thread pool.
+// Unit tests for src/common: status, rng, stats, table, flags, env helpers,
+// thread pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <set>
 
-#include "common/csv.h"
 #include "common/env.h"
 #include "common/flags.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -118,40 +116,6 @@ TEST(Rng, SplitMixAvalanche) {
     total += __builtin_popcountll(SplitMix64(x) ^ SplitMix64(x ^ 1));
   }
   EXPECT_NEAR(total / 256.0, 32.0, 4.0);
-}
-
-// ------------------------------------------------------------- Histogram
-TEST(ExponentialHistogram, BinEdgesAreExponential) {
-  ExponentialHistogram h(1.0, 2.0, 8);
-  EXPECT_EQ(h.BinFor(0.5), 0);   // below min
-  EXPECT_EQ(h.BinFor(1.5), 1);   // [1, 2)
-  EXPECT_EQ(h.BinFor(3.0), 2);   // [2, 4)
-  EXPECT_EQ(h.BinFor(1e9), 7);   // clamped to last bin
-  EXPECT_DOUBLE_EQ(h.BinLower(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.BinUpper(1), 2.0);
-}
-
-TEST(ExponentialHistogram, PercentileInterpolates) {
-  ExponentialHistogram h(1.0, 2.0, 16);
-  for (int i = 0; i < 100; ++i) h.Add(3.0);  // all in bin [2, 4)
-  const double p50 = h.Percentile(50);
-  EXPECT_GE(p50, 2.0);
-  EXPECT_LE(p50, 4.0);
-}
-
-TEST(ExponentialHistogram, MergeAddsCounts) {
-  ExponentialHistogram a(1.0, 2.0, 8), b(1.0, 2.0, 8);
-  a.Add(1.5);
-  b.Add(1.7, 3);
-  a.Merge(b);
-  EXPECT_EQ(a.total_count(), 4u);
-  EXPECT_EQ(a.BinCount(1), 4u);
-}
-
-TEST(ExponentialHistogram, NegativeSamplesClampToZeroBin) {
-  ExponentialHistogram h(1.0, 2.0, 8);
-  h.Add(-5.0);
-  EXPECT_EQ(h.BinCount(0), 1u);
 }
 
 // ----------------------------------------------------------------- Stats
@@ -275,28 +239,6 @@ TEST(Flags, DoubleDashStopsFlagParsing) {
   ASSERT_EQ(flags.positional().size(), 1u);
 }
 
-// ------------------------------------------------------------------- Csv
-TEST(Csv, QuotesSpecialCharacters) {
-  CsvWriter w({"a", "b"});
-  w.AddRow({"x,y", "line\nbreak"});
-  const std::string s = w.ToString();
-  EXPECT_NE(s.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(s.find("\"line\nbreak\""), std::string::npos);
-}
-
-TEST(Csv, RoundTripFile) {
-  CsvWriter w({"h"});
-  w.AddRow({"v"});
-  const std::string path = testing::TempDir() + "/shp_csv_test.csv";
-  ASSERT_TRUE(w.WriteFile(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  char buffer[64] = {};
-  std::ignore = std::fread(buffer, 1, sizeof(buffer) - 1, f);
-  std::fclose(f);
-  EXPECT_STREQ(buffer, "h\nv\n");
-}
-
 // ------------------------------------------------------------------- Env
 TEST(Env, ParsesIntAndFallsBack) {
   ::setenv("SHP_TEST_ENV_INT", "42", 1);
@@ -314,12 +256,21 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SubmitAndWait) {
+TEST(ThreadPool, BackToBackEmptyParallelForsNeverOutliveTheBarrier) {
+  // ParallelFor keeps its barrier (counter, mutex, condition variable) on the
+  // caller's stack. Near-empty chunks make the last worker's barrier signal
+  // race the caller's return as tightly as possible; a worker that touched
+  // the barrier after the caller left would corrupt the next call's frame
+  // and abort inside pthread_mutex_lock.
   ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) pool.Submit([&] { counter++; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 20);
+  constexpr size_t kCalls = 100000;
+  std::atomic<size_t> chunks{0};
+  for (size_t i = 0; i < kCalls; ++i) {
+    pool.ParallelFor(2, [&](size_t, size_t, size_t) {
+      chunks.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(chunks.load(), 2 * kCalls);
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {

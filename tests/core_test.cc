@@ -3,7 +3,10 @@
 // escape that motivates probabilistic fanout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/gain_histogram.h"
 #include "core/move_broker.h"
@@ -291,12 +294,11 @@ TEST(MoveBroker, MoveBudgetKeepsHighestGains) {
   EXPECT_EQ(all.size(), 100u);
 }
 
-TEST(MoveBroker, DrawFloorSkipsDeadRowsWithoutChangingMoves) {
+TEST(MoveBroker, DrawFloorSkipsAllZeroRows) {
   // One-sided negative demand: every (1 -> 0) histogram bin is negative and
   // nothing proposes (0 -> 1), so the matched probability row is all zero
   // (capacity slack only boosts positive bins). The draw floor must skip
-  // every draw — a probability-0 draw can never fire — while the executed
-  // moves are identical to the draw-everything reference.
+  // every draw — a probability-0 draw can never fire — and nothing moves.
   const VertexId n = 1000;
   std::vector<BucketId> assignment(n);
   for (VertexId v = 0; v < n; ++v) assignment[v] = static_cast<BucketId>(v % 2);
@@ -311,27 +313,19 @@ TEST(MoveBroker, DrawFloorSkipsDeadRowsWithoutChangingMoves) {
       ++proposers;
     }
   }
-  auto run = [&](bool skip) {
-    Partition partition = Partition::FromAssignment(assignment, 2);
-    MoveBrokerOptions options;
-    options.skip_zero_probability_pairs = skip;
-    MoveBroker broker(options);
-    return broker.Apply(topo, targets, gains, 9, 0, &partition);
-  };
-  const MoveOutcome with_floor = run(true);
-  const MoveOutcome reference = run(false);
-  EXPECT_EQ(with_floor.moves, reference.moves);
-  EXPECT_EQ(with_floor.num_moved, 0u);
-  EXPECT_EQ(with_floor.num_proposals, proposers);
-  EXPECT_EQ(with_floor.num_draws, 0u) << "all-zero rows must skip the draw";
-  EXPECT_EQ(reference.num_draws, proposers)
-      << "the reference draws every active proposal";
+  Partition partition = Partition::FromAssignment(assignment, 2);
+  MoveBroker broker{MoveBrokerOptions{}};
+  const MoveOutcome outcome =
+      broker.Apply(topo, targets, gains, 9, 0, &partition);
+  EXPECT_TRUE(outcome.moves.empty());
+  EXPECT_EQ(outcome.num_moved, 0u);
+  EXPECT_EQ(outcome.num_proposals, proposers);
+  EXPECT_EQ(outcome.num_draws, 0u) << "all-zero rows must skip the draw";
 }
 
 TEST(MoveBroker, DrawFloorKeepsLiveRowsDrawing) {
   // Reciprocal symmetric demand: the (0,1) rows are matched (live), so the
-  // draw floor must not skip anything and the trajectory stays identical to
-  // the reference for every strategy that draws.
+  // draw floor must not skip anything for either strategy that draws.
   const VertexId n = 200;
   std::vector<BucketId> assignment(n);
   for (VertexId v = 0; v < n; ++v) assignment[v] = v < 100 ? 0 : 1;
@@ -342,20 +336,182 @@ TEST(MoveBroker, DrawFloorKeepsLiveRowsDrawing) {
   for (const auto strategy :
        {MoveBrokerOptions::Strategy::kPlainProbability,
         MoveBrokerOptions::Strategy::kHistogramMatching}) {
-    auto run = [&](bool skip) {
-      Partition partition = Partition::FromAssignment(assignment, 2);
+    Partition partition = Partition::FromAssignment(assignment, 2);
+    MoveBrokerOptions options;
+    options.strategy = strategy;
+    MoveBroker broker(options);
+    const MoveOutcome outcome =
+        broker.Apply(topo, targets, gains, 9, 0, &partition);
+    EXPECT_EQ(outcome.num_draws, outcome.num_proposals)
+        << "live rows draw every proposal";
+    EXPECT_EQ(outcome.num_proposals, n);
+    EXPECT_GT(outcome.num_moved, 0u);
+  }
+}
+
+// The draw floor is trajectory-preserving only because a skipped proposal
+// draws against probability 0 in every gain bin (u ∈ [0, 1) never falls
+// below 0). These tests check that premise directly on randomized inputs.
+
+/// Random directed gain histograms over k buckets: some pairs absent, some
+/// one-sided, bins drawn from the whole signed range.
+std::unordered_map<uint64_t, DirectedGainHistogram> RandomHistograms(
+    const GainBinning& binning, BucketId k, std::mt19937_64* rng) {
+  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
+  std::uniform_int_distribution<int> bin_dist(0, binning.num_bins() - 1);
+  std::uniform_int_distribution<int> negative_bin(0, binning.zero_bin());
+  std::uniform_int_distribution<uint64_t> count_dist(1, 20);
+  for (BucketId i = 0; i < k; ++i) {
+    for (BucketId j = 0; j < k; ++j) {
+      if (i == j || (*rng)() % 3 == 0) continue;
+      DirectedGainHistogram h;
+      h.Init(binning);
+      const bool negative_only = (*rng)() % 3 == 0;
+      const int bins = 1 + static_cast<int>((*rng)() % 4);
+      for (int b = 0; b < bins; ++b) {
+        const int bin = negative_only ? negative_bin(*rng) : bin_dist(*rng);
+        h.counts[static_cast<size_t>(bin)] += count_dist(*rng);
+      }
+      histograms[ProposalMatrix::PackPair(i, j)] = std::move(h);
+    }
+  }
+  return histograms;
+}
+
+TEST(PairProbabilityTable, PairsOutsideLiveKeysLookUpZeroInEveryBin) {
+  const GainBinning binning;
+  for (int bin = 0; bin < binning.num_bins(); ++bin) {
+    ASSERT_EQ(binning.BinFor(binning.Representative(bin)), bin);
+  }
+  uint64_t dead_pairs = 0;
+  uint64_t live_pairs = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const BucketId k = 2 + static_cast<BucketId>(seed % 7);
+    const VertexId n = 400;
+    // Uneven bucket sizes so capacity slack is spent on some pairs only.
+    std::vector<BucketId> assignment(n);
+    for (VertexId v = 0; v < n; ++v) {
+      assignment[v] = static_cast<BucketId>(rng() % (v % 3 == 0 ? 1 : k));
+    }
+    const Partition partition = Partition::FromAssignment(assignment, k);
+    const MoveTopology topo = MoveTopology::FullK(k, n, 0.05);
+    const auto histograms = RandomHistograms(binning, k, &rng);
+    for (const bool slack : {false, true}) {
+      const PairProbabilityTable table = ComputePairProbabilities(
+          topo, binning, histograms, partition, slack);
+      const std::unordered_set<uint64_t> live = table.LivePairKeys();
+      for (BucketId i = 0; i < k; ++i) {
+        for (BucketId j = 0; j < k; ++j) {
+          if (i == j) continue;
+          const bool is_live = live.count(ProposalMatrix::PackPair(i, j)) > 0;
+          double row_max = 0.0;
+          for (int bin = 0; bin < binning.num_bins(); ++bin) {
+            const double p =
+                table.Lookup(binning, i, j, binning.Representative(bin));
+            ASSERT_GE(p, 0.0);
+            row_max = std::max(row_max, p);
+          }
+          if (is_live) {
+            ++live_pairs;
+            EXPECT_GT(row_max, 0.0) << "live pair " << i << "->" << j
+                                    << " has an all-zero row";
+          } else {
+            ++dead_pairs;
+            EXPECT_EQ(row_max, 0.0)
+                << "pair " << i << "->" << j << " is outside LivePairKeys() "
+                << "but draws against a nonzero probability (seed " << seed
+                << ", slack " << slack << ")";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(dead_pairs, 0u);
+  EXPECT_GT(live_pairs, 0u);
+}
+
+TEST(MoveBroker, DrawsExactlyTheProposalsOnNonzeroPairs) {
+  // End to end through both drawing strategies on random proposals: the
+  // draw count equals the proposals on pairs an independent recomputation
+  // gives a nonzero probability, and every executed move lies on such a
+  // pair — a plain-probability pair at 0 (or a histogram pair outside the
+  // live set) never draws and never moves.
+  const GainBinning binning;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    const BucketId k = 2 + static_cast<BucketId>(seed % 5);
+    const VertexId n = 600;
+    std::vector<BucketId> assignment(n);
+    for (VertexId v = 0; v < n; ++v) {
+      assignment[v] = static_cast<BucketId>(v % k);
+    }
+    const MoveTopology topo = MoveTopology::FullK(k, n, 0.05);
+    std::vector<BucketId> targets(n, -1);
+    std::vector<double> gains(n, 0.0);
+    std::uniform_real_distribution<double> gain_dist(-2.0, 1.0);
+    for (VertexId v = 0; v < n; ++v) {
+      if (rng() % 4 == 0) continue;
+      // Skew targets toward low bucket ids so many reverse pairs stay empty.
+      const BucketId t = static_cast<BucketId>(rng() % (rng() % 2 ? 2 : k));
+      if (t == assignment[v]) continue;
+      targets[v] = t;
+      gains[v] = gain_dist(rng);
+    }
+    const Partition start = Partition::FromAssignment(assignment, k);
+
+    // Independent recomputation of each strategy's per-proposal probability.
+    ProposalMatrix matrix;
+    std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
+    for (VertexId v = 0; v < n; ++v) {
+      if (targets[v] < 0) continue;
+      if (gains[v] > 0.0) matrix.Add(assignment[v], targets[v]);
+      auto& h = histograms[ProposalMatrix::PackPair(assignment[v], targets[v])];
+      if (h.counts.empty()) h.Init(binning);
+      h.Add(binning, gains[v]);
+    }
+    const PairProbabilityTable table =
+        ComputePairProbabilities(topo, binning, histograms, start, true);
+    const std::unordered_set<uint64_t> live = table.LivePairKeys();
+
+    for (const auto strategy :
+         {MoveBrokerOptions::Strategy::kPlainProbability,
+          MoveBrokerOptions::Strategy::kHistogramMatching}) {
+      const bool plain =
+          strategy == MoveBrokerOptions::Strategy::kPlainProbability;
+      const auto probability = [&](VertexId v) {
+        return plain ? matrix.MoveProbability(assignment[v], targets[v])
+                     : table.Lookup(binning, assignment[v], targets[v],
+                                    gains[v]);
+      };
+      uint64_t expected_draws = 0;
+      std::unordered_set<uint64_t> nonzero_pairs;
+      for (VertexId v = 0; v < n; ++v) {
+        if (targets[v] < 0 || (plain && gains[v] <= 0.0)) continue;
+        const uint64_t key = ProposalMatrix::PackPair(assignment[v], targets[v]);
+        const bool pair_nonzero =
+            plain ? probability(v) > 0.0 : live.count(key) > 0;
+        if (pair_nonzero) {
+          ++expected_draws;
+          nonzero_pairs.insert(key);
+        }
+      }
+      Partition partition = start;
       MoveBrokerOptions options;
       options.strategy = strategy;
-      options.skip_zero_probability_pairs = skip;
       MoveBroker broker(options);
-      return broker.Apply(topo, targets, gains, 9, 0, &partition);
-    };
-    const MoveOutcome with_floor = run(true);
-    const MoveOutcome reference = run(false);
-    EXPECT_EQ(with_floor.moves, reference.moves);
-    EXPECT_EQ(with_floor.num_draws, reference.num_draws)
-        << "live rows draw on both paths";
-    EXPECT_GT(with_floor.num_moved, 0u);
+      const MoveOutcome outcome =
+          broker.Apply(topo, targets, gains, seed, 0, &partition);
+      EXPECT_EQ(outcome.num_draws, expected_draws)
+          << "seed " << seed << (plain ? " plain" : " histogram");
+      EXPECT_LE(outcome.num_draws, outcome.num_proposals);
+      for (const VertexMove& m : outcome.moves) {
+        EXPECT_GT(nonzero_pairs.count(ProposalMatrix::PackPair(m.from, m.to)),
+                  0u)
+            << "vertex " << m.v << " moved on a zero-probability pair";
+        EXPECT_GT(probability(m.v), 0.0);
+      }
+    }
   }
 }
 

@@ -14,14 +14,15 @@ and fails (exit 1) on:
     iteration must not trip the gate. If either file lacks the
     `full_rebuild` anchor, the comparison falls back to absolute medians.
 
- 2. Byte regression: for the delta-exchange series (bsp_push,
-    bsp_push_grouped, and their varint-wire twins bsp_push_varint,
-    bsp_push_grouped_varint), any increase of `steady_s2_remote_bytes` over
+ 2. Byte regression: for the delta-exchange series (bsp_push_varint,
+    bsp_push_grouped_varint, and their raw-record figures bsp_push,
+    bsp_push_grouped — 16 bytes per steady remote delta record, derived
+    from the varint runs), any increase of `steady_s2_remote_bytes` over
     the baseline fails outright — the steady-state superstep-2 byte count is
     a deterministic message-accounting result, not a timing, so there is no
-    noise to tolerate. The varint series gate the grouped codec: a framing
-    or delta-width regression shows up here as a byte increase even when the
-    raw-record series are unchanged. The self-verifying envelope keeps its
+    noise to tolerate. The raw-record series catch growth in the record
+    count; the varint series catch a framing or delta-width regression of
+    the grouped codec even when the record count is unchanged. The self-verifying envelope keeps its
     overhead out of `steady_s2_remote_bytes`, so the fault-free payload
     series stays comparable across the protocol change.
 
