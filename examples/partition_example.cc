@@ -1,6 +1,7 @@
 // Minimal end-to-end example: generate a social-style hypergraph, partition
 // it with SHP-k and SHP-2, and print the fanout each achieves.
 #include <cstdio>
+#include <memory>
 
 #include "core/shp.h"
 #include "graph/gen_social.h"
@@ -18,14 +19,13 @@ int main() {
   const shp::BucketId k = 16;
   shp::ShpKOptions k_options;
   shp::RecursiveOptions r_options;
-  for (auto* partitioner :
-       {shp::MakeShpK(k_options).release(),
-        shp::MakeShpRecursive(r_options).release()}) {
+  std::unique_ptr<shp::Partitioner> partitioners[] = {
+      shp::MakeShpK(k_options), shp::MakeShpRecursive(r_options)};
+  for (const auto& partitioner : partitioners) {
     auto result = partitioner->Partition(graph, k, nullptr);
     if (!result.ok()) {
       std::printf("%s failed: %s\n", partitioner->name().c_str(),
                   result.status().ToString().c_str());
-      delete partitioner;
       return 1;
     }
     const shp::PartitionSummary summary =
@@ -33,7 +33,6 @@ int main() {
     std::printf("%-8s fanout=%.4f p-fanout=%.4f imbalance=%.4f\n",
                 partitioner->name().c_str(), summary.fanout, summary.p_fanout,
                 summary.imbalance);
-    delete partitioner;
   }
   return 0;
 }

@@ -1,28 +1,75 @@
 #include "core/move_broker.h"
 
 #include <algorithm>
+#include <iterator>
+#include <ranges>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/proposal_matrix.h"
 
 namespace shp {
 
 namespace {
 
-uint64_t PackPair(BucketId a, BucketId b) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
+/// Reverts lowest-gain surplus moves of over-capacity buckets until every
+/// bucket fits its capacity (or nothing is left to revert).
+void RepairBalance(const MoveTopology& topo,
+                   const std::vector<VertexId>& moved,
+                   const std::vector<BucketId>& original_bucket,
+                   const std::vector<double>& gains, Partition* partition,
+                   MoveOutcome* outcome) {
+  // Group this round's inbound moves per destination bucket, lowest gain
+  // first (ties broken by vertex id) so reversions sacrifice the least.
+  std::unordered_map<BucketId, std::vector<VertexId>> inbound;
+  for (VertexId v : moved) inbound[partition->bucket_of(v)].push_back(v);
+  for (auto& [b, candidates] : inbound) {
+    std::sort(candidates.begin(), candidates.end(),
+              [&gains](VertexId a, VertexId c) {
+                if (gains[a] != gains[c]) return gains[a] < gains[c];
+                return a < c;
+              });
+  }
+
+  // Iterate to a fixpoint: a reversion returns a vertex to its original
+  // bucket, which may push *that* bucket over capacity, whose own arrivals
+  // are then revertible. Reverting every arrival restores the pre-round
+  // state, which satisfied all capacities, so the loop terminates with all
+  // buckets within capacity (or with nothing left to revert, if the caller
+  // handed us an infeasible pre-round state).
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::vector<BucketId> buckets;
+    buckets.reserve(inbound.size());
+    for (const auto& [b, vs] : inbound) {
+      if (!vs.empty()) buckets.push_back(b);
+    }
+    std::sort(buckets.begin(), buckets.end());
+    for (BucketId b : buckets) {
+      const uint64_t cap = topo.capacity[static_cast<size_t>(b)];
+      auto& candidates = inbound[b];
+      size_t next = 0;
+      while (partition->bucket_size(b) > cap && next < candidates.size()) {
+        const VertexId v = candidates[next++];
+        partition->Move(v, original_bucket[v]);
+        ++outcome->num_reverted;
+        --outcome->num_moved;
+        outcome->gain_moved -= gains[v];
+        changed = true;
+      }
+      candidates.erase(candidates.begin(),
+                       candidates.begin() + static_cast<int64_t>(next));
+    }
+  }
 }
 
-}  // namespace
-
-void MoveBroker::CollectNetMoves(const std::vector<VertexId>& moved,
-                                 const std::vector<BucketId>& original_bucket,
-                                 const Partition& partition,
-                                 MoveOutcome* outcome) {
+/// Emits the net executed moves (vertices whose post-repair bucket differs
+/// from their pre-round bucket) into outcome->moves, ascending by vertex id.
+void CollectNetMoves(const std::vector<VertexId>& moved,
+                     const std::vector<BucketId>& original_bucket,
+                     const Partition& partition, MoveOutcome* outcome) {
   outcome->moves.reserve(outcome->num_moved);
   for (VertexId v : moved) {
     const BucketId now = partition.bucket_of(v);
@@ -32,6 +79,8 @@ void MoveBroker::CollectNetMoves(const std::vector<VertexId>& moved,
   }
   SHP_DCHECK(outcome->moves.size() == outcome->num_moved);
 }
+
+}  // namespace
 
 void MoveBroker::TrimToBudget(uint64_t budget,
                               const std::vector<double>& gains,
@@ -187,56 +236,92 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
     matrix.Add(partition->bucket_of(v), targets[v]);
   }
 
-  // "Change buckets": move with probability min(S_ij, S_ji)/S_ij. The random
-  // draw is a pure hash of (seed, iteration, v) so the outcome is
-  // independent of thread scheduling. Per-pair probabilities are computed
-  // once; the draw floor skips pairs at probability 0 (no reciprocal
-  // demand) — those draws can never fire, so the trajectory is unchanged.
-  std::unordered_map<uint64_t, double> pair_prob;
-  pair_prob.reserve(matrix.num_pairs());
+  // "Change buckets": move with probability min(S_ij, S_ji)/S_ij, the same
+  // in every gain bin. Pairs without reciprocal demand hold probability 0
+  // and fall under the draw floor.
+  PairProbabilityTable table;
   for (const auto& [i, j] : matrix.SortedPairs()) {
-    pair_prob[PackPair(i, j)] = matrix.MoveProbability(i, j);
+    table.probabilities[PackPair(i, j)].assign(
+        static_cast<size_t>(options_.binning.num_bins()),
+        matrix.MoveProbability(i, j));
   }
-  std::vector<uint8_t> decided(n, 0);
+  return DrawAndExecute(MoveDraw::Plain(table, options_, seed, iteration),
+                        topo, targets, gains, partition, pool,
+                        std::move(outcome));
+}
+
+MoveDraw::MoveDraw(const PairProbabilityTable& table,
+                   const MoveBrokerOptions& options, uint64_t salt,
+                   uint64_t iteration, bool positive_only)
+    : table_(table),
+      live_(table.LivePairKeys()),
+      binning_(options.binning),
+      max_probability_(options.max_move_probability),
+      damping_(options.probability_damping),
+      salt_(salt),
+      iteration_(iteration),
+      positive_only_(positive_only) {}
+
+bool MoveDraw::Fires(VertexId v, BucketId from, BucketId target,
+                     double gain) const {
+  // A pure hash of (seed, iteration, v), so the outcome is independent of
+  // thread scheduling and of which engine draws.
+  const double prob =
+      std::min(table_.Lookup(binning_, from, target, gain), max_probability_) *
+      damping_;
+  return HashToUnitDouble(salt_, iteration_, v) < prob;
+}
+
+MoveOutcome MoveBroker::DrawAndExecute(const MoveDraw& draw,
+                                       const MoveTopology& topo,
+                                       const std::vector<BucketId>& targets,
+                                       const std::vector<double>& gains,
+                                       Partition* partition, ThreadPool* pool,
+                                       MoveOutcome outcome) {
+  const VertexId n = partition->num_data();
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
+  drawn_.resize(std::max(drawn_.size(), num_workers));
+  for (auto& list : drawn_) list.clear();
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
   pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-    uint64_t draws = 0;
-    for (size_t v = begin; v < end; ++v) {
-      if (targets[v] < 0 || gains[v] <= 0.0) continue;
-      const BucketId from =
-          partition->bucket_of(static_cast<VertexId>(v));
-      const double pair = pair_prob.at(PackPair(from, targets[v]));
-      if (pair <= 0.0) continue;
-      ++draws;
-      const double prob = std::min(pair, options_.max_move_probability) *
-                          options_.probability_damping;
-      if (HashToUnitDouble(seed ^ 0xabcdef12, iteration, v) < prob) {
-        decided[v] = 1;
-      }
-    }
-    draws_per_worker[w] += draws;
+    draws_per_worker[w] +=
+        draw.Run(std::views::iota(static_cast<VertexId>(begin),
+                                  static_cast<VertexId>(end)),
+                 targets, gains, *partition, &drawn_[w])
+            .draws;
   });
   for (const uint64_t d : draws_per_worker) outcome.num_draws += d;
-
-  std::vector<VertexId> moved;
-  for (VertexId v = 0; v < n; ++v) {
-    if (decided[v]) moved.push_back(v);
-  }
-  // Per-round move budget (partition stability): keep only the
-  // highest-gain drawn movers. Applied before execution, so post-repair
-  // executed moves can only be fewer.
-  TrimToBudget(options_.max_moves_per_round, gains, &moved);
-  std::vector<BucketId> original(n, -1);
-  for (VertexId v : moved) {
-    original[v] = partition->bucket_of(v);
-    partition->Move(v, targets[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += gains[v];
-  }
-  RepairBalance(topo, moved, original, gains, partition, &outcome);
-  CollectNetMoves(moved, original, *partition, &outcome);
+  if (original_.size() < n) original_.resize(n);
+  ExecuteMoves(topo, targets, gains, options_.max_moves_per_round, drawn_,
+               &movers_, &original_, partition, &outcome);
   return outcome;
+}
+
+void MoveBroker::ExecuteMoves(const MoveTopology& topo,
+                              const std::vector<BucketId>& targets,
+                              const std::vector<double>& gains,
+                              uint64_t budget,
+                              const std::vector<std::vector<VertexId>>& drawn,
+                              std::vector<VertexId>* movers,
+                              std::vector<BucketId>* original,
+                              Partition* partition, MoveOutcome* outcome) {
+  movers->clear();
+  for (const std::vector<VertexId>& list : drawn) {
+    movers->insert(movers->end(), list.begin(), list.end());
+  }
+  std::sort(movers->begin(), movers->end());
+  // Per-round move budget (partition stability): keep only the highest-gain
+  // drawn movers. Applied before execution, so post-repair executed moves
+  // can only be fewer.
+  TrimToBudget(budget, gains, movers);
+  for (const VertexId v : *movers) {
+    (*original)[v] = partition->bucket_of(v);
+    partition->Move(v, targets[v]);
+    ++outcome->num_moved;
+    outcome->gain_moved += gains[v];
+  }
+  RepairBalance(topo, *movers, *original, gains, partition, outcome);
+  CollectNetMoves(*movers, *original, *partition, outcome);
 }
 
 double PairProbabilityTable::Lookup(const GainBinning& binning, BucketId from,
@@ -323,31 +408,92 @@ PairProbabilityTable ComputePairProbabilities(
   return table;
 }
 
-void MoveBroker::UpdateHistContribution(VertexId v,
-                                        const std::vector<BucketId>& targets,
-                                        const std::vector<double>& gains,
-                                        const Partition& partition) {
-  const uint64_t old_pair = hist_last_pair_[v];
-  if (old_pair != kNoPair) {
-    const auto it = hist_state_.find(old_pair);
-    SHP_DCHECK(it != hist_state_.end());
-    const size_t bin = static_cast<size_t>(hist_last_bin_[v]);
+void MasterHistograms::Reset(size_t num_shards, VertexId n,
+                             const GainBinning& binning) {
+  binning_ = binning;
+  shards_.assign(num_shards, Shard{});
+  last_pair_.assign(static_cast<size_t>(n), kNoPair);
+  last_bin_.assign(static_cast<size_t>(n), 0);
+}
+
+void MasterHistograms::Update(size_t shard, VertexId v, BucketId from,
+                              BucketId target, double gain) {
+  Shard& sh = shards_[shard];
+  if (last_pair_[v] != kNoPair) {
+    const auto it = sh.pairs.find(last_pair_[v]);
+    SHP_DCHECK(it != sh.pairs.end());
+    const size_t bin = static_cast<size_t>(last_bin_[v]);
     SHP_DCHECK(it->second.hist.counts[bin] > 0);
     --it->second.hist.counts[bin];  // DirectedGainHistogram has no Remove
     --it->second.total;
-    --hist_live_proposals_;
-    hist_last_pair_[v] = kNoPair;
+    --sh.live;
+    last_pair_[v] = kNoPair;
   }
-  if (targets[v] < 0) return;
-  const uint64_t pair = PackPair(partition.bucket_of(v), targets[v]);
-  PairState& state = hist_state_[pair];
-  if (state.hist.counts.empty()) state.hist.Init(options_.binning);
-  const int bin = options_.binning.BinFor(gains[v]);
+  if (target < 0) return;
+  const uint64_t pair = PackPair(from, target);
+  PairState& state = sh.pairs[pair];
+  if (state.hist.counts.empty()) state.hist.Init(binning_);
+  const int bin = binning_.BinFor(gain);
   ++state.hist.counts[static_cast<size_t>(bin)];
   ++state.total;
-  ++hist_live_proposals_;
-  hist_last_pair_[v] = pair;
-  hist_last_bin_[v] = bin;
+  ++sh.live;
+  last_pair_[v] = pair;
+  last_bin_[v] = bin;
+}
+
+void MasterHistograms::Prune(size_t shard) {
+  auto& pairs = shards_[shard].pairs;
+  for (auto it = pairs.begin(); it != pairs.end();) {
+    it = it->second.total == 0 ? pairs.erase(it) : std::next(it);
+  }
+}
+
+uint64_t MasterHistograms::num_proposals() const {
+  uint64_t live = 0;
+  for (const Shard& sh : shards_) live += sh.live;
+  return live;
+}
+
+std::unordered_map<uint64_t, DirectedGainHistogram>
+MasterHistograms::Merged() const {
+  std::unordered_map<uint64_t, DirectedGainHistogram> merged;
+  for (const Shard& sh : shards_) {
+    for (const auto& [key, state] : sh.pairs) {
+      if (state.total == 0) continue;
+      DirectedGainHistogram& h = merged[key];
+      if (h.counts.empty()) {
+        h = state.hist;
+        continue;
+      }
+      for (size_t bin = 0; bin < h.counts.size(); ++bin) {
+        h.counts[bin] += state.hist.counts[bin];
+      }
+    }
+  }
+  return merged;
+}
+
+void MasterHistograms::CheckAgainst(const std::vector<BucketId>& targets,
+                                    const std::vector<double>& gains,
+                                    const Partition& partition) const {
+  std::unordered_map<uint64_t, DirectedGainHistogram> ref;
+  uint64_t ref_proposals = 0;
+  for (VertexId v = 0; v < partition.num_data(); ++v) {
+    if (targets[v] < 0) continue;
+    ++ref_proposals;
+    auto& h = ref[PackPair(partition.bucket_of(v), targets[v])];
+    if (h.counts.empty()) h.Init(binning_);
+    h.Add(binning_, gains[v]);
+  }
+  const auto merged = Merged();
+  SHP_CHECK_EQ(ref_proposals, num_proposals());
+  SHP_CHECK_EQ(ref.size(), merged.size());
+  for (const auto& [key, h] : ref) {
+    const auto it = merged.find(key);
+    SHP_CHECK(it != merged.end() && it->second.counts == h.counts)
+        << "incremental histogram diverged from full accumulation (pair "
+        << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
+  }
 }
 
 MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
@@ -359,168 +505,33 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   const VertexId n = partition->num_data();
   SHP_CHECK_EQ(targets.size(), n);
   MoveOutcome outcome;
-  const GainBinning& binning = options_.binning;
 
   // Directed gain histograms per ordered bucket pair (the master state;
   // O(#occupied pairs × bins) memory, k²·bins worst case as in the paper).
   // Maintained incrementally when the caller hands a changed-proposal list:
   // only the listed vertices' contributions are re-derived — O(|changed|)
   // counter updates instead of the O(n) re-accumulation.
-  const bool incremental = changed != nullptr && hist_state_valid_ &&
-                           hist_last_pair_.size() == static_cast<size_t>(n);
-  if (incremental) {
-    for (const VertexId v : *changed) {
-      UpdateHistContribution(v, targets, gains, *partition);
-    }
+  const auto update = [&](VertexId v) {
+    hist_.Update(0, v, partition->bucket_of(v), targets[v], gains[v]);
+  };
+  if (changed != nullptr && hist_.Covers(1, n)) {
+    for (const VertexId v : *changed) update(v);
   } else {
-    hist_state_.clear();
-    hist_last_pair_.assign(static_cast<size_t>(n), kNoPair);
-    hist_last_bin_.assign(static_cast<size_t>(n), 0);
-    hist_live_proposals_ = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      UpdateHistContribution(v, targets, gains, *partition);
-    }
-    hist_state_valid_ = true;
+    hist_.Reset(1, n, options_.binning);
+    for (VertexId v = 0; v < n; ++v) update(v);
   }
-  outcome.num_proposals = hist_live_proposals_;
-
-  // Materialize the pruned live map for the shared master computation (and
-  // drop emptied pairs so stale bucket pairs never accumulate).
-  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
-  histograms.reserve(hist_state_.size());
-  for (auto it = hist_state_.begin(); it != hist_state_.end();) {
-    if (it->second.total == 0) {
-      it = hist_state_.erase(it);
-      continue;
-    }
-    histograms.emplace(it->first, it->second.hist);
-    ++it;
-  }
-
+  hist_.Prune(0);
 #ifndef NDEBUG
-  {
-    // The incrementally patched histograms must equal a from-scratch
-    // accumulation — the changed-proposal-vs-full-histogram equivalence
-    // gate.
-    std::unordered_map<uint64_t, DirectedGainHistogram> ref;
-    uint64_t ref_proposals = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (targets[v] < 0) continue;
-      ++ref_proposals;
-      auto& h = ref[PackPair(partition->bucket_of(v), targets[v])];
-      if (h.counts.empty()) h.Init(binning);
-      h.Add(binning, gains[v]);
-    }
-    SHP_CHECK_EQ(ref_proposals, outcome.num_proposals);
-    SHP_CHECK_EQ(ref.size(), histograms.size());
-    for (const auto& [key, h] : ref) {
-      const auto it = histograms.find(key);
-      SHP_CHECK(it != histograms.end() && it->second.counts == h.counts)
-          << "incremental histogram diverged from full accumulation (pair "
-          << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
-    }
-  }
+  hist_.CheckAgainst(targets, gains, *partition);
 #endif
+  outcome.num_proposals = hist_.num_proposals();
 
-  const PairProbabilityTable table = ComputePairProbabilities(
-      topo, binning, histograms, *partition, options_.use_capacity_slack);
-
-  // Superstep 4: probabilistic simultaneous moves. Draw floor: a proposal
-  // whose pair row is all zero draws against probability 0 in every bin —
-  // it can never fire, so skipping the hash leaves the trajectory unchanged
-  // while the draw scan shrinks to the pairs the master matched.
-  const std::unordered_set<uint64_t> live_pairs = table.LivePairKeys();
-  std::vector<uint8_t> decided(n, 0);
-  const size_t num_workers = std::max<size_t>(1, pool->num_threads());
-  std::vector<uint64_t> draws_per_worker(num_workers, 0);
-  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-    uint64_t draws = 0;
-    for (size_t v = begin; v < end; ++v) {
-      if (targets[v] < 0) continue;
-      const BucketId from =
-          partition->bucket_of(static_cast<VertexId>(v));
-      if (live_pairs.count(PackPair(from, targets[v])) == 0) continue;
-      ++draws;
-      const double prob =
-          std::min(table.Lookup(binning, from, targets[v], gains[v]),
-                   options_.max_move_probability) *
-          options_.probability_damping;
-      if (HashToUnitDouble(seed ^ 0x5108e77a, iteration, v) < prob) {
-        decided[v] = 1;
-      }
-    }
-    draws_per_worker[w] += draws;
-  });
-  for (const uint64_t d : draws_per_worker) outcome.num_draws += d;
-
-  std::vector<VertexId> moved;
-  for (VertexId v = 0; v < n; ++v) {
-    if (decided[v]) moved.push_back(v);
-  }
-  // Per-round move budget (partition stability): keep only the
-  // highest-gain drawn movers. Applied before execution, so post-repair
-  // executed moves can only be fewer.
-  TrimToBudget(options_.max_moves_per_round, gains, &moved);
-  std::vector<BucketId> original(n, -1);
-  for (VertexId v : moved) {
-    original[v] = partition->bucket_of(v);
-    partition->Move(v, targets[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += gains[v];
-  }
-  RepairBalance(topo, moved, original, gains, partition, &outcome);
-  CollectNetMoves(moved, original, *partition, &outcome);
-  return outcome;
-}
-
-void MoveBroker::RepairBalance(const MoveTopology& topo,
-                               const std::vector<VertexId>& moved,
-                               const std::vector<BucketId>& original_bucket,
-                               const std::vector<double>& gains,
-                               Partition* partition, MoveOutcome* outcome) {
-  // Group this round's inbound moves per destination bucket, lowest gain
-  // first (ties broken by vertex id) so reversions sacrifice the least.
-  std::unordered_map<BucketId, std::vector<VertexId>> inbound;
-  for (VertexId v : moved) inbound[partition->bucket_of(v)].push_back(v);
-  for (auto& [b, candidates] : inbound) {
-    std::sort(candidates.begin(), candidates.end(),
-              [&gains](VertexId a, VertexId c) {
-                if (gains[a] != gains[c]) return gains[a] < gains[c];
-                return a < c;
-              });
-  }
-
-  // Iterate to a fixpoint: a reversion returns a vertex to its original
-  // bucket, which may push *that* bucket over capacity, whose own arrivals
-  // are then revertible. Reverting every arrival restores the pre-round
-  // state, which satisfied all capacities, so the loop terminates with all
-  // buckets within capacity (or with nothing left to revert, if the caller
-  // handed us an infeasible pre-round state).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<BucketId> buckets;
-    buckets.reserve(inbound.size());
-    for (const auto& [b, vs] : inbound) {
-      if (!vs.empty()) buckets.push_back(b);
-    }
-    std::sort(buckets.begin(), buckets.end());
-    for (BucketId b : buckets) {
-      const uint64_t cap = topo.capacity[static_cast<size_t>(b)];
-      auto& candidates = inbound[b];
-      size_t next = 0;
-      while (partition->bucket_size(b) > cap && next < candidates.size()) {
-        const VertexId v = candidates[next++];
-        partition->Move(v, original_bucket[v]);
-        ++outcome->num_reverted;
-        --outcome->num_moved;
-        outcome->gain_moved -= gains[v];
-        changed = true;
-      }
-      candidates.erase(candidates.begin(),
-                       candidates.begin() + static_cast<int64_t>(next));
-    }
-  }
+  const PairProbabilityTable table =
+      ComputePairProbabilities(topo, options_.binning, hist_.Merged(),
+                               *partition, options_.use_capacity_slack);
+  return DrawAndExecute(MoveDraw::Matched(table, options_, seed, iteration),
+                        topo, targets, gains, partition, pool,
+                        std::move(outcome));
 }
 
 }  // namespace shp

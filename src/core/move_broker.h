@@ -23,6 +23,7 @@
 #include "core/gain_histogram.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
+#include "core/proposal_matrix.h"
 #include "graph/bipartite_graph.h"
 
 namespace shp {
@@ -109,6 +110,127 @@ PairProbabilityTable ComputePairProbabilities(
     const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
     const Partition& partition, bool use_capacity_slack);
 
+/// Superstep-3 master state, maintained incrementally: per directed bucket
+/// pair, the gain histogram of the live proposals, plus each vertex's last
+/// contribution (pair key, bin), so one changed proposal costs two counter
+/// updates instead of a term in an O(n) rebuild. The state is split into
+/// shards — the threaded broker uses one, the BSP engine one per worker. A
+/// vertex always updates the same shard, so distinct shards may update
+/// concurrently (one writer each).
+class MasterHistograms {
+ public:
+  /// Drops every contribution: `num_shards` empty shards over n vertices.
+  void Reset(size_t num_shards, VertexId n, const GainBinning& binning);
+
+  /// True iff the last Reset was for this shape.
+  bool Covers(size_t num_shards, VertexId n) const {
+    return shards_.size() == num_shards && last_pair_.size() == n;
+  }
+
+  /// Re-derives v's contribution to `shard`: removes the recorded (pair,
+  /// bin) counter and adds from → target at the bin of `gain` (nothing when
+  /// target < 0). Idempotent.
+  void Update(size_t shard, VertexId v, BucketId from, BucketId target,
+              double gain);
+
+  /// Erases the pairs of `shard` that hold no live proposal, so emptied
+  /// bucket pairs neither accumulate nor count as uploaded.
+  void Prune(size_t shard);
+
+  /// Pairs currently held by `shard` (after Prune: pairs with proposals).
+  size_t num_pairs(size_t shard) const { return shards_[shard].pairs.size(); }
+
+  /// Live proposals over all shards.
+  uint64_t num_proposals() const;
+
+  /// The master's view: per live pair, the bin-wise sum over shards.
+  std::unordered_map<uint64_t, DirectedGainHistogram> Merged() const;
+
+  /// Debug oracle: the merged state equals a from-scratch accumulation of
+  /// the proposals (targets, gains) at the partition's current buckets.
+  void CheckAgainst(const std::vector<BucketId>& targets,
+                    const std::vector<double>& gains,
+                    const Partition& partition) const;
+
+ private:
+  /// last_pair_ sentinel: the vertex currently contributes nowhere.
+  static constexpr uint64_t kNoPair = ~0ull;
+
+  struct PairState {
+    DirectedGainHistogram hist;
+    uint64_t total = 0;  ///< live proposals, so emptied pairs can be pruned
+  };
+  struct Shard {
+    std::unordered_map<uint64_t, PairState> pairs;
+    uint64_t live = 0;
+  };
+
+  GainBinning binning_;
+  std::vector<Shard> shards_;
+  std::vector<uint64_t> last_pair_;  ///< kNoPair when not contributing
+  std::vector<int32_t> last_bin_;
+};
+
+/// Superstep-4 draw, shared by the probabilistic strategies and the BSP
+/// master. A proposal v: from → target draws only when its pair row holds a
+/// positive probability (the draw floor: a probability-0 draw can never
+/// fire, so skipping it leaves the trajectory unchanged); it fires when the
+/// hash of (seed ^ salt, iteration, v) falls below min(table probability,
+/// max_move_probability) × probability_damping.
+class MoveDraw {
+ public:
+  /// The histogram-matching draw (threaded broker and BSP master).
+  static MoveDraw Matched(const PairProbabilityTable& table,
+                          const MoveBrokerOptions& options, uint64_t seed,
+                          uint64_t iteration) {
+    return MoveDraw(table, options, seed ^ 0x5108e77a, iteration, false);
+  }
+  /// Algorithm 1 verbatim: only strictly improving proposals draw.
+  static MoveDraw Plain(const PairProbabilityTable& table,
+                        const MoveBrokerOptions& options, uint64_t seed,
+                        uint64_t iteration) {
+    return MoveDraw(table, options, seed ^ 0xabcdef12, iteration, true);
+  }
+
+  struct Tally {
+    uint64_t proposals = 0;  ///< eligible proposals scanned
+    uint64_t draws = 0;      ///< of those, draws evaluated
+  };
+
+  /// Draws the proposals of `vertices`, appending the movers to *movers.
+  template <class Vertices>
+  Tally Run(const Vertices& vertices, const std::vector<BucketId>& targets,
+            const std::vector<double>& gains, const Partition& partition,
+            std::vector<VertexId>* movers) const {
+    Tally tally;
+    for (const VertexId v : vertices) {
+      const BucketId target = targets[v];
+      if (target < 0 || (positive_only_ && gains[v] <= 0.0)) continue;
+      ++tally.proposals;
+      const BucketId from = partition.bucket_of(v);
+      if (live_.count(PackPair(from, target)) == 0) continue;
+      ++tally.draws;
+      if (Fires(v, from, target, gains[v])) movers->push_back(v);
+    }
+    return tally;
+  }
+
+ private:
+  MoveDraw(const PairProbabilityTable& table, const MoveBrokerOptions& options,
+           uint64_t salt, uint64_t iteration, bool positive_only);
+
+  bool Fires(VertexId v, BucketId from, BucketId target, double gain) const;
+
+  const PairProbabilityTable& table_;
+  std::unordered_set<uint64_t> live_;
+  GainBinning binning_;
+  double max_probability_;
+  double damping_;
+  uint64_t salt_;
+  uint64_t iteration_;
+  bool positive_only_;
+};
+
 class MoveBroker {
  public:
   explicit MoveBroker(MoveBrokerOptions options) : options_(options) {}
@@ -142,27 +264,24 @@ class MoveBroker {
                     ThreadPool* pool = nullptr,
                     const std::vector<VertexId>* changed = nullptr);
 
-  /// Reverts lowest-gain surplus moves of over-capacity buckets until every
-  /// bucket fits its capacity (or nothing is left to revert). Public so the
-  /// BSP master can apply the identical repair.
-  static void RepairBalance(const MoveTopology& topo,
-                            const std::vector<VertexId>& moved,
-                            const std::vector<BucketId>& original_bucket,
-                            const std::vector<double>& gains,
-                            Partition* partition, MoveOutcome* outcome);
-
-  /// Emits the net executed moves (vertices whose post-repair bucket differs
-  /// from their pre-round bucket) into outcome->moves, ascending by vertex
-  /// id. Shared with the BSP master, which repairs via RepairBalance above.
-  static void CollectNetMoves(const std::vector<VertexId>& moved,
-                              const std::vector<BucketId>& original_bucket,
-                              const Partition& partition,
-                              MoveOutcome* outcome);
+  /// Superstep-4 execution, shared with the BSP master: merges the drawn
+  /// per-shard mover lists into *movers (ascending), trims them to `budget`
+  /// (TrimToBudget), moves each to its target, reverts the lowest-gain
+  /// surplus moves of any bucket over capacity, and appends the net
+  /// executed moves to outcome->moves. `original` is caller-owned scratch
+  /// of ≥ n entries (only the movers' slots are written), so no round
+  /// allocates O(n).
+  static void ExecuteMoves(const MoveTopology& topo,
+                           const std::vector<BucketId>& targets,
+                           const std::vector<double>& gains, uint64_t budget,
+                           const std::vector<std::vector<VertexId>>& drawn,
+                           std::vector<VertexId>* movers,
+                           std::vector<BucketId>* original,
+                           Partition* partition, MoveOutcome* outcome);
 
   /// Trims a drawn mover list to `budget` vertices (0 = unlimited): keeps
   /// the highest gains, ties broken on the lower vertex id, and restores
   /// ascending-by-vertex order on return. Deterministic for a fixed input.
-  /// Shared with the BSP master's superstep 4.
   static void TrimToBudget(uint64_t budget, const std::vector<double>& gains,
                            std::vector<VertexId>* movers);
 
@@ -184,34 +303,23 @@ class MoveBroker {
                                 uint64_t seed, uint64_t iteration,
                                 Partition* partition);
 
-  /// Re-derives vertex v's histogram contribution: removes the recorded old
-  /// (pair, bin) counter, adds the current one, and updates the live-proposal
-  /// tally. Idempotent (remove-new-then-add-new under duplicate calls).
-  void UpdateHistContribution(VertexId v, const std::vector<BucketId>& targets,
-                              const std::vector<double>& gains,
-                              const Partition& partition);
+  /// Draws every vertex's proposal on the pool and executes the movers.
+  MoveOutcome DrawAndExecute(const MoveDraw& draw, const MoveTopology& topo,
+                             const std::vector<BucketId>& targets,
+                             const std::vector<double>& gains,
+                             Partition* partition, ThreadPool* pool,
+                             MoveOutcome outcome);
 
   MoveBrokerOptions options_;
 
-  /// hist_last_pair_ sentinel: the vertex currently contributes nowhere.
-  static constexpr uint64_t kNoPair = ~0ull;
+  /// kHistogramMatching master state (one shard), patched from the
+  /// changed-proposal list across rounds.
+  MasterHistograms hist_;
 
-  /// Persistent per-pair histogram with a live-proposal tally so emptied
-  /// pairs can be pruned (mirrors BspRefiner's superstep-3 state).
-  struct PairState {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;
-  };
-
-  // Incrementally maintained kHistogramMatching master state: per-pair
-  // histograms kept across rounds plus each vertex's last contribution
-  // (pair key / bin), so one changed proposal costs two counter updates
-  // instead of a term in an O(n) rebuild.
-  std::unordered_map<uint64_t, PairState> hist_state_;
-  std::vector<uint64_t> hist_last_pair_;  ///< kNoPair when not contributing
-  std::vector<int32_t> hist_last_bin_;
-  uint64_t hist_live_proposals_ = 0;
-  bool hist_state_valid_ = false;
+  // Reusable superstep-4 scratch.
+  std::vector<std::vector<VertexId>> drawn_;  ///< per pool worker
+  std::vector<VertexId> movers_;
+  std::vector<BucketId> original_;
 };
 
 }  // namespace shp

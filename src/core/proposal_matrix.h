@@ -16,13 +16,15 @@
 
 namespace shp {
 
+/// Directed bucket-pair key (from << 32 | to) of the S matrix, the
+/// superstep-3 histograms and the probability tables.
+inline uint64_t PackPair(BucketId from, BucketId to) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
+         static_cast<uint32_t>(to);
+}
+
 class ProposalMatrix {
  public:
-  static uint64_t PackPair(BucketId from, BucketId to) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-           static_cast<uint32_t>(to);
-  }
-
   void Add(BucketId from, BucketId to, uint64_t count = 1) {
     counts_[PackPair(from, to)] += count;
   }

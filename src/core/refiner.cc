@@ -17,75 +17,6 @@ Refiner::Refiner(const BipartiteGraph& graph, const RefinerOptions& options)
             options.future_splits),
       broker_(options.broker) {}
 
-Refiner::Proposal Refiner::ComputeProposal(
-    const MoveTopology& topo, const Partition& partition, VertexId v,
-    BucketId explore_target, bool push, const std::vector<BucketId>* anchor,
-    double anchor_penalty, Workspace* ws, bool* cacheable) const {
-  *cacheable = true;
-  const double degree = static_cast<double>(graph_.DataDegree(v));
-  if (degree == 0.0) return {};  // isolated: nothing to gain
-  const BucketId from = partition.bucket_of(v);
-  const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
-  if (group < 0) return {};  // bucket not refined at this level
-
-  BucketId best_target = -1;
-  double best_gain = 0.0;
-  if (topo.full_k) {
-    if (explore_target >= 0 && explore_target != from) {
-      // Exploration proposal: random target with its true gain. Depends on
-      // the iteration draw, so it must never be served from the cache.
-      best_target = explore_target;
-      best_gain = push ? gain_.MoveGainPush(sweep_, v, from, explore_target,
-                                            degree)
-                       : gain_.MoveGain(graph_, ndata_, v, from,
-                                        explore_target);
-      *cacheable = false;
-    }
-    if (best_target < 0) {
-      const auto best =
-          push ? gain_.FindBestTargetPush(sweep_, v, from, 0, topo.k, degree)
-               : gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
-                                      &ws->affinity, &ws->touched);
-      best_target = best.bucket;
-      best_gain = best.gain;
-    }
-  } else {
-    const auto& children = topo.group_children[static_cast<size_t>(group)];
-    if (push) {
-      // Group-restricted push scan: one pass over the accumulator window
-      // spanning the siblings (a re-slice of the same topology-free
-      // accumulators the full-k scan reads — recursion windows never
-      // rebuild them).
-      const auto best = gain_.FindBestTargetPushGrouped(
-          sweep_, v, from, std::span<const BucketId>(children), degree);
-      best_target = best.bucket;
-      best_gain = best.gain;
-    } else {
-      bool first = true;
-      for (BucketId candidate : children) {
-        if (candidate == from) continue;
-        const double g = gain_.MoveGain(graph_, ndata_, v, from, candidate);
-        if (first || g > best_gain) {
-          best_gain = g;
-          best_target = candidate;
-          first = false;
-        }
-      }
-    }
-  }
-  if (best_target < 0) return {};
-
-  // Incremental-update penalty (paper §5(i)).
-  if (anchor != nullptr && anchor_penalty != 0.0) {
-    const BucketId home = (*anchor)[v];
-    if (from == home && best_target != home) best_gain -= anchor_penalty;
-    if (from != home && best_target == home) best_gain += anchor_penalty;
-  }
-
-  if (!options_.propose_nonpositive && best_gain <= 0.0) return {};
-  return {best_target, best_gain};
-}
-
 IterationStats Refiner::RunIteration(const MoveTopology& topo,
                                      Partition* partition, uint64_t seed,
                                      uint64_t iteration, ThreadPool* pool,
@@ -163,19 +94,14 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       !proposal_context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   if (workspaces_.size() < num_workers) workspaces_.resize(num_workers);
-  const auto ensure_workspace = [&](Workspace& ws) {
-    if (!push && topo.full_k &&
-        ws.affinity.size() < static_cast<size_t>(topo.k)) {
-      // FindBestTarget requires a zero-filled scratch and restores it, so
-      // (re)sizing is the only moment we pay for a fill.
-      ws.affinity.assign(static_cast<size_t>(topo.k), 0.0);
-    }
-  };
-  const auto recompute_vertex = [&](VertexId v, Workspace& ws) {
+  const ProposalSource<QueryNeighborData> source{
+      gain_, graph_, *partition, ndata_, push ? &sweep_ : nullptr};
+  const ProposalRule rule{topo, anchor, anchor_penalty,
+                          options_.propose_nonpositive};
+  const auto recompute_vertex = [&](VertexId v, ProposalScratch& ws) {
     bool cacheable = true;
-    const Proposal proposal =
-        ComputeProposal(topo, *partition, v, explore_target_for(v), push,
-                        anchor, anchor_penalty, &ws, &cacheable);
+    const Proposal proposal = ComputeProposal(
+        source, rule, v, explore_target_for(v), &ws, nullptr, &cacheable);
     targets_[v] = proposal.target;
     gains_[v] = proposal.gain;
     cache_valid_[v] = cacheable ? 1 : 0;
@@ -188,8 +114,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     recompute_.assign(n, 0);
     proposal_context_.Snapshot(topo, anchor, anchor_penalty);
     pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = workspaces_[w];
-      ensure_workspace(ws);
+      ProposalScratch& ws = workspaces_[w];
       for (size_t vi = begin; vi < end; ++vi) {
         recompute_vertex(static_cast<VertexId>(vi), ws);
       }
@@ -235,8 +160,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     }
     pool->ParallelFor(recompute_list_.size(),
                       [&](size_t begin, size_t end, size_t w) {
-                        Workspace& ws = workspaces_[w];
-                        ensure_workspace(ws);
+                        ProposalScratch& ws = workspaces_[w];
                         for (size_t i = begin; i < end; ++i) {
                           recompute_vertex(recompute_list_[i], ws);
                         }
@@ -252,71 +176,9 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   }
 
 #ifndef NDEBUG
-  if (!recompute_all) {
-    // Debug cross-check: the cached proposals must be bit-identical to a
-    // full recompute (same code path over logically identical state).
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = workspaces_[w];
-      ensure_workspace(ws);
-      for (size_t vi = begin; vi < end; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        bool cacheable = true;
-        const Proposal check =
-            ComputeProposal(topo, *partition, v, explore_target_for(v), push,
-                            anchor, anchor_penalty, &ws, &cacheable);
-        SHP_CHECK(check.target == targets_[v] && check.gain == gains_[v])
-            << "stale cached proposal for v=" << v << ": cached ("
-            << targets_[v] << ", " << gains_[v] << ") vs fresh ("
-            << check.target << ", " << check.gain << ")";
-      }
-    });
-  }
+  CheckCachedProposals(source, rule, explore ? &explore_target_ : nullptr,
+                       targets_, gains_, pool);
   if (push) {
-    // Tolerance-based pull-vs-push equivalence, verified per iteration: the
-    // push proposal must name the same target as a pull recompute, or a
-    // gain-tied one (≤ 1e-9), and its gain must agree within rtol 1e-6.
-    std::vector<Workspace> debug_ws(num_workers);
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = debug_ws[w];
-      if (ws.affinity.size() < static_cast<size_t>(topo.k)) {
-        ws.affinity.assign(static_cast<size_t>(topo.k), 0.0);
-      }
-      for (size_t vi = begin; vi < end; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        bool cacheable = true;
-        const Proposal pull = ComputeProposal(
-            topo, *partition, v, explore_target_for(v), /*push=*/false,
-            anchor, anchor_penalty, &ws, &cacheable);
-        const double gtol =
-            1e-9 + 1e-6 * std::max(std::fabs(pull.gain),
-                                   std::fabs(gains_[v]));
-        if (pull.target == targets_[v]) {
-          SHP_CHECK(std::fabs(pull.gain - gains_[v]) <= gtol)
-              << "pull/push gain divergence for v=" << v << ": pull "
-              << pull.gain << " vs push " << gains_[v];
-        } else if (pull.target >= 0 && targets_[v] >= 0) {
-          // Different targets are legal only on a gain tie: evaluate both in
-          // the pull frame and require them equal within the tie tolerance.
-          const BucketId from = partition->bucket_of(v);
-          const double g_pull_choice =
-              gain_.MoveGain(graph_, ndata_, v, from, pull.target);
-          const double g_push_choice =
-              gain_.MoveGain(graph_, ndata_, v, from, targets_[v]);
-          SHP_CHECK(std::fabs(g_pull_choice - g_push_choice) <= 1e-9)
-              << "pull/push target divergence beyond tie tolerance for v="
-              << v << ": pull -> " << pull.target << " (" << g_pull_choice
-              << ") vs push -> " << targets_[v] << " (" << g_push_choice
-              << ")";
-        } else {
-          // One path proposed, the other filtered (propose_nonpositive):
-          // only legal when the surviving gain straddles zero within
-          // tolerance.
-          SHP_CHECK(std::fabs(pull.gain) <= gtol &&
-                    std::fabs(gains_[v]) <= gtol)
-              << "pull/push proposal presence mismatch for v=" << v;
-        }
-      }
-    });
     // The patched accumulators must match a fresh query-major build up to
     // summation order.
     AffinitySweep fresh(sweep_.deterministic());

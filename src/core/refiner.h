@@ -49,7 +49,7 @@
 #include "core/move_broker.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
-#include "core/proposal_context.h"
+#include "core/proposal.h"
 #include "graph/bipartite_graph.h"
 #include "objective/affinity_sweep.h"
 #include "objective/gain.h"
@@ -223,33 +223,6 @@ class Refiner : public RefinerInterface {
   uint64_t num_sweep_builds() const { return num_sweep_builds_; }
 
  private:
-  /// A vertex's move proposal: argmax target and its gain (anchor-adjusted,
-  /// nonpositive-filtered), or target = -1 for "no proposal".
-  struct Proposal {
-    BucketId target = -1;
-    double gain = 0.0;
-  };
-
-  /// Reusable per-thread scratch for the k-way pull affinity scan; allocated
-  /// once per (pool, k) shape instead of per chunk per iteration.
-  struct Workspace {
-    std::vector<double> affinity;
-    std::vector<BucketId> touched;
-  };
-
-  /// Computes v's proposal from the current neighbor data (pull) or the
-  /// affinity accumulators (push) — the single source of truth shared by
-  /// the full pass, the steady-state pass, and the debug cross-checks.
-  /// `explore_target` ≥ 0 makes this an exploration proposal (random target
-  /// with its true gain); those depend on the iteration draw, so
-  /// *cacheable comes back false.
-  Proposal ComputeProposal(const MoveTopology& topo,
-                           const Partition& partition, VertexId v,
-                           BucketId explore_target, bool push,
-                           const std::vector<BucketId>* anchor,
-                           double anchor_penalty, Workspace* ws,
-                           bool* cacheable) const;
-
   const BipartiteGraph& graph_;
   RefinerOptions options_;
   GainComputer gain_;
@@ -278,7 +251,7 @@ class Refiner : public RefinerInterface {
 
   ProposalContext proposal_context_;  ///< context of the cached proposals
 
-  std::vector<Workspace> workspaces_;
+  std::vector<ProposalScratch> workspaces_;
   uint64_t num_full_rebuilds_ = 0;
   uint64_t num_sweep_builds_ = 0;
 };

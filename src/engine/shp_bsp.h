@@ -44,6 +44,17 @@
 //      repair, and the next superstep 1 all touch O(moved) state instead of
 //      rescanning n-sized arrays.
 //
+// This class implements only the distributed parts — sharding, the
+// superstep-1 combiner and fold, the superstep-2 exchange, fault recovery,
+// checkpoints, and the per-worker byte and work-unit accounting. Algorithm 1
+// itself is shared with the threaded Refiner: superstep 2 calls
+// ComputeProposal (core/proposal.h) on the worker replicas, superstep 3
+// keeps MoveBroker's MasterHistograms with one shard per worker, and
+// superstep 4 runs MoveDraw and MoveBroker::ExecuteMoves. From one starting
+// partition both engines therefore move the same vertices wherever their
+// arithmetic is exact (tests/engine_test.cc
+// TrajectoryBitIdenticalToThreadedRefiner).
+//
 // The implementation plugs into the SHP drivers through RefinerInterface, so
 // SHP-k and SHP-2/r run unmodified on top of it. All message and byte counts
 // are exact; engine/cost_model.h converts them into simulated cluster time.
@@ -72,14 +83,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/checkpoint.h"
 
-#include "core/gain_histogram.h"
+#include "core/move_broker.h"
 #include "core/move_topology.h"
-#include "core/proposal_context.h"
+#include "core/proposal.h"
 #include "core/refiner.h"
 #include "engine/bsp_engine.h"
 #include "engine/message_router.h"
@@ -164,26 +174,6 @@ class BspRefiner : public RefinerInterface {
   Status RestoreLatestCheckpoint(Partition* partition);
 
  private:
-  /// last_pair_ sentinel: the vertex currently contributes to no histogram.
-  static constexpr uint64_t kNoPair = ~0ull;
-
-  /// Per-(bucket-pair) histogram kept alive across iterations on its worker;
-  /// `total` tracks live proposals so emptied pairs can be pruned from the
-  /// superstep-3 upload.
-  struct PairHistogram {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;
-  };
-
-  /// Pull-path proposal of v from the query replicas (the reference scan;
-  /// shared tie-break and empty-window fallback with FindBestTargetPush).
-  /// Adds the sparse-affinity scan cost to *work.
-  GainComputer::BestTarget PullBestTarget(const MoveTopology& topo, VertexId v,
-                                          BucketId from,
-                                          std::vector<double>* affinity,
-                                          std::vector<BucketId>* touched,
-                                          uint64_t* work) const;
-
   // ---- fault-tolerant superstep protocol ----
 
   size_t LinkIndex(int src, int dst) const {
@@ -265,16 +255,11 @@ class BspRefiner : public RefinerInterface {
   std::vector<double> cached_gain_;
   bool proposals_valid_ = false;
 
-  // Cached proposal context (proposals depend on these beyond the replicas).
-  ProposalContext proposal_context_;
-  bool cached_push_ = false;  ///< scan direction of the cached proposals
+  ProposalContext proposal_context_;  ///< context of the cached proposals
 
-  // Incrementally maintained superstep-3 histograms plus each vertex's last
-  // contribution (pair key / bin), so one changed proposal costs two counter
-  // updates instead of an O(n) rebuild.
-  std::vector<std::unordered_map<uint64_t, PairHistogram>> worker_hist_;
-  std::vector<uint64_t> last_pair_;  ///< kNoPair when not contributing
-  std::vector<int32_t> last_bin_;
+  // Superstep-3 master state, one shard per worker (MoveBroker's
+  // incremental per-pair histograms).
+  MasterHistograms hist_;
   bool hist_valid_ = false;
 
   // Reusable per-iteration scratch (satellite of the delta-exchange work:
@@ -288,8 +273,7 @@ class BspRefiner : public RefinerInterface {
   std::vector<std::vector<VertexId>> mover_lists_;      ///< per data worker
   std::vector<VertexId> movers_;       ///< merged, ascending
   std::vector<BucketId> original_;     ///< pre-move bucket (mover slots only)
-  std::vector<std::vector<double>> pull_affinity_;   ///< per-worker scratch
-  std::vector<std::vector<BucketId>> pull_touched_;  ///< per-worker scratch
+  std::vector<ProposalScratch> proposal_scratch_;  ///< per-worker scratch
 
   std::vector<SuperstepStats>* log_;
 };

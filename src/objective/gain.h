@@ -16,16 +16,41 @@
 // limit p→0 are obtained by setting p accordingly (Lemmas 1-2).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/logging.h"
 #include "graph/bipartite_graph.h"
 #include "objective/affinity_sweep.h"
 #include "objective/neighbor_data.h"
 #include "objective/pow_table.h"
 
 namespace shp {
+
+/// Per-query entry lists for the pull scans: a QueryNeighborData, or any
+/// callable q → std::span<const BucketCount> (the BSP engine passes its
+/// per-query replicas). A template parameter, not a std::function, so the
+/// threaded scan keeps its inlined arena read.
+inline std::span<const BucketCount> EntriesOf(const QueryNeighborData& ndata,
+                                              VertexId q) {
+  return ndata.Entries(q);
+}
+template <class Fn>
+std::span<const BucketCount> EntriesOf(const Fn& entries, VertexId q) {
+  return entries(q);
+}
+
+/// Candidate when no bucket in [begin, end) \ {from} holds any neighbor of
+/// v: every such bucket is as good as empty, so every scan path picks the
+/// lowest non-`from` bucket in the window — the shared deterministic
+/// fallback. Returns -1 when the window contains no bucket besides `from`.
+inline BucketId EmptyWindowFallback(BucketId from, BucketId begin,
+                                    BucketId end) {
+  const BucketId b = begin == from ? begin + 1 : begin;
+  return b < end ? b : -1;
+}
 
 class GainComputer {
  public:
@@ -47,15 +72,14 @@ class GainComputer {
   /// B^n for the configured base.
   double Pow(uint32_t n) const { return pow_table_.Pow(n); }
 
-  /// Gain (objective decrease) of moving v from `from` to `to`, given current
-  /// neighbor data. O(deg(v) · log fanout). from must be v's current bucket.
-  double MoveGain(const BipartiteGraph& graph, const QueryNeighborData& ndata,
-                  VertexId v, BucketId from, BucketId to) const;
-
-  /// Per-vertex "base" term Σ_{q∈N(v)} B^{n_from(q)−1}: gain to any target j
-  /// is p · (base − Σ_q B^{n_j(q)}). Shared across all k targets.
-  double BaseTerm(const BipartiteGraph& graph, const QueryNeighborData& ndata,
-                  VertexId v, BucketId from) const;
+  /// Gain (objective decrease) of moving v from `from` to `to`, given the
+  /// per-query entry lists `entries` (see EntriesOf). O(deg(v) · log
+  /// fanout). from must be v's current bucket. `*work`, if given, is charged
+  /// two lookups per adjacent query.
+  template <class Entries>
+  double MoveGain(const BipartiteGraph& graph, const Entries& entries,
+                  VertexId v, BucketId from, BucketId to,
+                  uint64_t* work = nullptr) const;
 
   /// Result of a best-target search.
   struct BestTarget {
@@ -68,12 +92,15 @@ class GainComputer {
   /// and be zero-filled; it is restored to zero before returning (touched-
   /// list reset), so callers can reuse it across vertices. O(Σ_{q∈N(v)}
   /// fanout(q)) — independent of k, per the sparse neighbor-data design.
+  /// `*work`, if given, is charged one unit per entry scanned.
+  template <class Entries>
   BestTarget FindBestTarget(const BipartiteGraph& graph,
-                            const QueryNeighborData& ndata, VertexId v,
+                            const Entries& entries, VertexId v,
                             BucketId from, BucketId bucket_begin,
                             BucketId bucket_end,
                             std::vector<double>* affinity_scratch,
-                            std::vector<BucketId>* touched_scratch) const;
+                            std::vector<BucketId>* touched_scratch,
+                            uint64_t* work = nullptr) const;
 
   /// True iff the push-path gain formulas below are available: they divide
   /// by the pow base B to recover Σ B^{n_from−1} from the maintained
@@ -119,5 +146,84 @@ class GainComputer {
   double p_;
   PowTable pow_table_;
 };
+
+template <class Entries>
+double GainComputer::MoveGain(const BipartiteGraph& graph,
+                              const Entries& entries, VertexId v,
+                              BucketId from, BucketId to,
+                              uint64_t* work) const {
+  if (from == to) return 0.0;
+  double gain = 0.0;
+  uint64_t lookups = 0;
+  for (VertexId q : graph.DataNeighbors(v)) {
+    const std::span<const BucketCount> list = EntriesOf(entries, q);
+    const uint32_t n_from = CountIn(list, from);
+    const uint32_t n_to = CountIn(list, to);
+    SHP_DCHECK(n_from >= 1);
+    gain += pow_table_.Pow(n_from - 1) - pow_table_.Pow(n_to);
+    lookups += 2;
+  }
+  if (work != nullptr) *work += lookups;
+  return p_ * gain;
+}
+
+template <class Entries>
+GainComputer::BestTarget GainComputer::FindBestTarget(
+    const BipartiteGraph& graph, const Entries& entries, VertexId v,
+    BucketId from, BucketId bucket_begin, BucketId bucket_end,
+    std::vector<double>* affinity_scratch,
+    std::vector<BucketId>* touched_scratch, uint64_t* work) const {
+  SHP_DCHECK(bucket_begin < bucket_end);
+  SHP_DCHECK(affinity_scratch->size() >= static_cast<size_t>(bucket_end));
+  std::vector<double>& affinity = *affinity_scratch;
+  std::vector<BucketId>& touched = *touched_scratch;
+  touched.clear();
+
+  // Σ_q B^{n_j(q)} = deg(v) − Σ_{q : n_j(q)>0} (1 − B^{n_j(q)}). We
+  // accumulate the sparse second term ("affinity") per candidate bucket; an
+  // untouched bucket has affinity 0. Larger affinity = better target.
+  // `from` always contains v, so its entry exists in every adjacent list.
+  double base = 0.0;
+  double degree = 0.0;
+  uint64_t scanned = 0;
+  for (VertexId q : graph.DataNeighbors(v)) {
+    degree += 1.0;
+    const std::span<const BucketCount> list = EntriesOf(entries, q);
+    scanned += list.size();
+    for (const BucketCount& entry : list) {
+      if (entry.bucket == from) {
+        base += pow_table_.Pow(entry.count - 1);
+        continue;
+      }
+      if (entry.bucket < bucket_begin || entry.bucket >= bucket_end) continue;
+      if (affinity[entry.bucket] == 0.0) touched.push_back(entry.bucket);
+      affinity[entry.bucket] += 1.0 - pow_table_.Pow(entry.count);
+    }
+  }
+  if (work != nullptr) *work += scanned;
+
+  // Best touched bucket. Ties (within kAffinityTieEpsilon) must resolve to
+  // the lower bucket id on both scan paths, so scan candidates in ascending
+  // bucket order — `touched` is in first-encounter order, which depends on
+  // the adjacency layout, not the bucket ids.
+  std::sort(touched.begin(), touched.end());
+  double best_affinity = 0.0;  // affinity of an empty bucket
+  BucketId best_bucket = -1;
+  for (BucketId b : touched) {
+    if (affinity[b] > best_affinity + kAffinityTieEpsilon) {
+      best_affinity = affinity[b];
+      best_bucket = b;
+    }
+  }
+  for (BucketId b : touched) affinity[b] = 0.0;
+  if (best_bucket == -1) {
+    // All candidates are as good as an empty bucket; shared deterministic
+    // fallback (its gain is the empty-bucket gain).
+    best_bucket = EmptyWindowFallback(from, bucket_begin, bucket_end);
+    if (best_bucket == -1) return BestTarget{-1, 0.0};
+  }
+  const double sum_pow_to = degree - best_affinity;
+  return BestTarget{best_bucket, p_ * (base - sum_pow_to)};
+}
 
 }  // namespace shp

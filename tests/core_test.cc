@@ -372,7 +372,7 @@ std::unordered_map<uint64_t, DirectedGainHistogram> RandomHistograms(
         const int bin = negative_only ? negative_bin(*rng) : bin_dist(*rng);
         h.counts[static_cast<size_t>(bin)] += count_dist(*rng);
       }
-      histograms[ProposalMatrix::PackPair(i, j)] = std::move(h);
+      histograms[PackPair(i, j)] = std::move(h);
     }
   }
   return histograms;
@@ -404,7 +404,7 @@ TEST(PairProbabilityTable, PairsOutsideLiveKeysLookUpZeroInEveryBin) {
       for (BucketId i = 0; i < k; ++i) {
         for (BucketId j = 0; j < k; ++j) {
           if (i == j) continue;
-          const bool is_live = live.count(ProposalMatrix::PackPair(i, j)) > 0;
+          const bool is_live = live.count(PackPair(i, j)) > 0;
           double row_max = 0.0;
           for (int bin = 0; bin < binning.num_bins(); ++bin) {
             const double p =
@@ -466,7 +466,7 @@ TEST(MoveBroker, DrawsExactlyTheProposalsOnNonzeroPairs) {
     for (VertexId v = 0; v < n; ++v) {
       if (targets[v] < 0) continue;
       if (gains[v] > 0.0) matrix.Add(assignment[v], targets[v]);
-      auto& h = histograms[ProposalMatrix::PackPair(assignment[v], targets[v])];
+      auto& h = histograms[PackPair(assignment[v], targets[v])];
       if (h.counts.empty()) h.Init(binning);
       h.Add(binning, gains[v]);
     }
@@ -488,7 +488,7 @@ TEST(MoveBroker, DrawsExactlyTheProposalsOnNonzeroPairs) {
       std::unordered_set<uint64_t> nonzero_pairs;
       for (VertexId v = 0; v < n; ++v) {
         if (targets[v] < 0 || (plain && gains[v] <= 0.0)) continue;
-        const uint64_t key = ProposalMatrix::PackPair(assignment[v], targets[v]);
+        const uint64_t key = PackPair(assignment[v], targets[v]);
         const bool pair_nonzero =
             plain ? probability(v) > 0.0 : live.count(key) > 0;
         if (pair_nonzero) {
@@ -506,7 +506,7 @@ TEST(MoveBroker, DrawsExactlyTheProposalsOnNonzeroPairs) {
           << "seed " << seed << (plain ? " plain" : " histogram");
       EXPECT_LE(outcome.num_draws, outcome.num_proposals);
       for (const VertexMove& m : outcome.moves) {
-        EXPECT_GT(nonzero_pairs.count(ProposalMatrix::PackPair(m.from, m.to)),
+        EXPECT_GT(nonzero_pairs.count(PackPair(m.from, m.to)),
                   0u)
             << "vertex " << m.v << " moved on a zero-probability pair";
         EXPECT_GT(probability(m.v), 0.0);

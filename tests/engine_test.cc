@@ -166,6 +166,100 @@ TEST(BspRefiner, QualityMatchesThreadedRefiner) {
   EXPECT_EQ(log.size() % 4, 0u) << "four supersteps per iteration (Fig. 3)";
 }
 
+// Both engines run the same proposal, histogram and move-execution code, so
+// from one starting partition their trajectories must agree bit for bit —
+// for every topology, scan direction and cluster width, and under the
+// anchor / nonpositive-filter / move-budget options. Push accumulators are
+// patched in a different order per engine (the threaded refiner applies one
+// record per executed move, BSP one combined record per (query, bucket)),
+// which is exact only while every B^n term is dyadic, as at p = 0.5 here;
+// the p = 0.3 anchored case therefore runs the pull scan.
+struct CrossEngineCase {
+  const char* name;
+  bool grouped;
+  RefinerOptions::SweepMode sweep;
+  int workers;
+  double p = 0.5;
+  double anchor_penalty = 0.0;
+  bool propose_nonpositive = true;
+  uint64_t max_moves = 0;
+};
+
+void ExpectBitIdenticalTrajectories(const CrossEngineCase& c) {
+  SCOPED_TRACE(c.name);
+  SocialGraphConfig graph_config;
+  graph_config.num_users = 3000;
+  graph_config.avg_degree = 8;
+  graph_config.seed = 11;
+  const BipartiteGraph g = GenerateSocialGraph(graph_config);
+  const BucketId k = 16;
+  const MoveTopology topo =
+      c.grouped ? MoveTopology::Grouped(k, g.num_data(), 0.05,
+                                        {{0, 1, 2, 3},
+                                         {4, 5, 6, 7},
+                                         {8, 9, 10, 11},
+                                         {12, 13, 14, 15}})
+                : MoveTopology::FullK(k, g.num_data(), 0.05);
+
+  RefinerOptions options;
+  options.p = c.p;
+  options.sweep_mode = c.sweep;
+  options.propose_nonpositive = c.propose_nonpositive;
+  options.broker.max_moves_per_round = c.max_moves;
+  BspConfig config;
+  config.num_workers = c.workers;
+  Refiner threaded(g, options);
+  BspRefiner bsp(g, options, config);
+
+  Partition p_threaded = Partition::BalancedRandom(g.num_data(), k, 4);
+  Partition p_bsp = p_threaded;
+  const std::vector<BucketId> anchor = p_threaded.assignment();
+  const std::vector<BucketId>* anchor_ptr =
+      c.anchor_penalty != 0.0 ? &anchor : nullptr;
+
+  uint64_t total_moved = 0;
+  for (uint64_t iter = 0; iter < 15; ++iter) {
+    const IterationStats a = threaded.RunIteration(
+        topo, &p_threaded, 21, iter, nullptr, anchor_ptr, c.anchor_penalty);
+    const IterationStats b = bsp.RunIteration(
+        topo, &p_bsp, 21, iter, nullptr, anchor_ptr, c.anchor_penalty);
+    ASSERT_EQ(p_threaded.assignment(), p_bsp.assignment())
+        << "iteration " << iter;
+    EXPECT_EQ(a.num_proposals, b.num_proposals) << "iteration " << iter;
+    EXPECT_EQ(a.num_draws, b.num_draws) << "iteration " << iter;
+    EXPECT_EQ(a.num_moved, b.num_moved) << "iteration " << iter;
+    EXPECT_EQ(a.num_reverted, b.num_reverted) << "iteration " << iter;
+    EXPECT_EQ(a.gain_moved, b.gain_moved) << "iteration " << iter;
+    total_moved += a.num_moved;
+  }
+  EXPECT_GT(total_moved, 0u) << "the trajectory must move";
+}
+
+TEST(BspRefiner, TrajectoryBitIdenticalToThreadedRefiner) {
+  const CrossEngineCase cases[] = {
+      CrossEngineCase{"fullk_pull_w1", false,
+                      RefinerOptions::SweepMode::kPull, 1},
+      CrossEngineCase{"fullk_pull_w3", false,
+                      RefinerOptions::SweepMode::kPull, 3},
+      CrossEngineCase{"fullk_push_w1", false,
+                      RefinerOptions::SweepMode::kPush, 1},
+      CrossEngineCase{"fullk_push_w3", false,
+                      RefinerOptions::SweepMode::kPush, 3},
+      CrossEngineCase{"grouped_pull_w1", true,
+                      RefinerOptions::SweepMode::kPull, 1},
+      CrossEngineCase{"grouped_pull_w3", true,
+                      RefinerOptions::SweepMode::kPull, 3},
+      CrossEngineCase{"grouped_push_w1", true,
+                      RefinerOptions::SweepMode::kPush, 1},
+      CrossEngineCase{"grouped_push_w3", true,
+                      RefinerOptions::SweepMode::kPush, 3},
+      CrossEngineCase{"anchored_budgeted_p03", false,
+                      RefinerOptions::SweepMode::kPull, 3,
+                      /*p=*/0.3, /*anchor_penalty=*/0.05,
+                      /*propose_nonpositive=*/false, /*max_moves=*/40}};
+  for (const CrossEngineCase& c : cases) ExpectBitIdenticalTrajectories(c);
+}
+
 TEST(BspRefiner, DeltaSuperstepOneShrinksAfterFirstIteration) {
   // Giraph optimization (paper §3.3): vertices that did not move do not
   // send superstep-1 messages, so iteration 2's superstep 1 must carry far

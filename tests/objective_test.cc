@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "core/partition.h"
+#include "core/proposal.h"
 #include "graph/gen_powerlaw.h"
 #include "graph/graph_builder.h"
+#include "objective/affinity_sweep.h"
 #include "objective/gain.h"
 #include "objective/neighbor_data.h"
 #include "objective/objective.h"
@@ -242,35 +245,121 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GainProperty,
                          testing::Combine(testing::Values(0.1, 0.5, 0.9, 1.0),
                                           testing::Values(2, 4, 16)));
 
-TEST(Gain, FindBestTargetMatchesBruteForce) {
+// The shared superstep-2 proposal function (core/proposal.h) against an
+// independent oracle: for every vertex of a tiny power-law graph, every
+// candidate target's gain is the from-scratch AveragePFanout delta, the
+// proposal must name the best candidate (or one tied within 1e-9), and its
+// gain must be that candidate's delta plus the anchor adjustment — through
+// all four scan branches (full-k or grouped × pull or push), with and
+// without an anchor, and with the nonpositive filter on and off.
+class ProposalOracle
+    : public testing::TestWithParam<std::tuple<double, uint64_t>> {};
+
+TEST_P(ProposalOracle, MatchesFromScratchObjectiveDelta) {
+  const auto [p, seed] = GetParam();
   PowerLawConfig config;
-  config.num_queries = 200;
-  config.num_data = 150;
-  config.target_edges = 900;
+  config.num_queries = 90;
+  config.num_data = 70;
+  config.target_edges = 320;
+  config.seed = seed;
   const BipartiteGraph g = GeneratePowerLaw(config);
   const BucketId k = 8;
-  const auto assignment = Partition::Random(g.num_data(), k, 2).assignment();
+  const Partition partition = Partition::Random(g.num_data(), k, seed + 1);
+  const std::vector<BucketId>& assignment = partition.assignment();
+  // The anchor homes every third vertex elsewhere, so both the penalty
+  // (leaving home) and the credit (returning home) fire.
+  std::vector<BucketId> anchor = assignment;
+  for (VertexId v = 0; v < g.num_data(); v += 3) {
+    anchor[v] = (assignment[v] + 1) % k;
+  }
+  const double penalty = 0.07;
+
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
-  const GainComputer gain(0.5, static_cast<uint32_t>(g.MaxQueryDegree()));
-  std::vector<double> affinity(static_cast<size_t>(k), 0.0);
-  std::vector<BucketId> touched;
+  const GainComputer gain(p, static_cast<uint32_t>(g.MaxQueryDegree()));
+  AffinitySweep sweep;
+  sweep.Build(g, ndata, gain.pow_table());
+  // Buckets 6 and 7 sit outside every group: their vertices never propose.
+  const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
+  const MoveTopology grouped =
+      MoveTopology::Grouped(k, g.num_data(), 0.05, {{0, 1, 2, 3}, {4, 5}});
+
+  // The oracle: every candidate's from-scratch objective delta.
+  std::vector<std::vector<double>> raw(g.num_data(),
+                                       std::vector<double>(k, 0.0));
   for (VertexId v = 0; v < g.num_data(); ++v) {
-    if (g.DataDegree(v) == 0) continue;
-    const BucketId from = assignment[v];
-    const auto best =
-        gain.FindBestTarget(g, ndata, v, from, 0, k, &affinity, &touched);
-    double brute_best = -1e300;
-    for (BucketId b = 0; b < k; ++b) {
-      if (b == from) continue;
-      brute_best =
-          std::max(brute_best, gain.MoveGain(g, ndata, v, from, b));
+    for (BucketId to = 0; to < k; ++to) {
+      if (to == assignment[v]) continue;
+      raw[v][to] = BruteForceGain(g, assignment, v, to, p);
     }
-    ASSERT_NE(best.bucket, -1);
-    EXPECT_NE(best.bucket, from);
-    EXPECT_NEAR(best.gain, brute_best, 1e-9) << "v=" << v;
   }
+
+  ProposalScratch scratch;
+  uint64_t checked = 0;
+  for (const MoveTopology* topo : {&full, &grouped}) {
+    for (const bool push : {false, true}) {
+      const ProposalSource<QueryNeighborData> source{
+          gain, g, partition, ndata, push ? &sweep : nullptr};
+      for (const bool anchored : {false, true}) {
+        for (const bool nonpositive : {true, false}) {
+          const ProposalRule rule{*topo, anchored ? &anchor : nullptr,
+                                  anchored ? penalty : 0.0, nonpositive};
+          for (VertexId v = 0; v < g.num_data(); ++v) {
+            SCOPED_TRACE(testing::Message()
+                         << "v=" << v << " full_k=" << topo->full_k
+                         << " push=" << push << " anchored=" << anchored
+                         << " nonpositive=" << nonpositive);
+            const BucketId from = assignment[v];
+            const int32_t group =
+                topo->group_of_bucket[static_cast<size_t>(from)];
+            const Proposal got =
+                ComputeProposal(source, rule, v, -1, &scratch);
+            if (g.DataDegree(v) == 0 || group < 0) {
+              EXPECT_EQ(got.target, -1);
+              continue;
+            }
+            const auto adjusted = [&](BucketId to, double raw) {
+              if (!anchored) return raw;
+              if (from == anchor[v] && to != anchor[v]) return raw - penalty;
+              if (from != anchor[v] && to == anchor[v]) return raw + penalty;
+              return raw;
+            };
+            BucketId best = -1;
+            double best_raw = 0.0;
+            for (BucketId to :
+                 topo->group_children[static_cast<size_t>(group)]) {
+              if (to == from) continue;
+              if (best < 0 || raw[v][to] > best_raw) {
+                best = to;
+                best_raw = raw[v][to];
+              }
+            }
+            ASSERT_GE(best, 0);
+            const double expected = adjusted(best, best_raw);
+            const double tol =
+                1e-9 + (push ? 1e-6 * std::fabs(expected) : 0.0);
+            if (got.target < 0) {
+              EXPECT_FALSE(nonpositive) << "only the filter drops a proposal";
+              EXPECT_LE(expected, tol);
+              continue;
+            }
+            const double got_raw = raw[v][got.target];
+            EXPECT_NEAR(got_raw, best_raw, 1e-9)
+                << "target " << got.target << " vs oracle " << best;
+            EXPECT_NEAR(got.gain, adjusted(got.target, got_raw), tol);
+            if (!nonpositive) EXPECT_GT(got.gain, -tol);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 4u * g.num_data()) << "most vertices must propose";
 }
+
+INSTANTIATE_TEST_SUITE_P(PowerLawGraphs, ProposalOracle,
+                         testing::Combine(testing::Values(0.3, 0.5, 0.9),
+                                          testing::Values(3u, 17u)));
 
 TEST(Gain, FutureSplitGeneralizesPlainGain) {
   // t = 1 must equal the plain gain; t > 1 must equal the projected-final
