@@ -6,7 +6,7 @@
 // run over their cached proposals.
 //
 // The threaded Refiner passes its QueryNeighborData and AffinitySweep; the
-// BSP engine passes its per-query replicas (a q → span callable) and its
+// BSP engine passes its query replicas (also a QueryNeighborData) and its
 // data-worker accumulator replicas, and charges the scanned entries as
 // superstep-2 work units.
 #pragma once
@@ -34,15 +34,14 @@ struct Proposal {
   double gain = 0.0;
 };
 
-/// What a proposal reads: the current assignment, and either the per-query
-/// entry lists `entries` (pull; a QueryNeighborData or a q → span callable,
-/// see EntriesOf) or the accumulators `sweep` (push, when non-null).
-template <class Entries>
+/// What a proposal reads: the current assignment, and either the query
+/// neighbor data `ndata` (pull) or the accumulators `sweep` (push, when
+/// non-null).
 struct ProposalSource {
   const GainComputer& gain;
   const BipartiteGraph& graph;
   const Partition& partition;
-  const Entries& entries;
+  const QueryNeighborData& ndata;
   const AffinitySweep* sweep = nullptr;
 };
 
@@ -74,12 +73,12 @@ Proposal FinishProposal(const ProposalRule& rule, VertexId v, BucketId from,
 /// entries (full-k pull), two lookups per sibling and adjacent query
 /// (grouped pull), accumulator entries (full-k push), or window entries
 /// plus siblings (grouped push).
-template <class Entries>
-Proposal ComputeProposal(const ProposalSource<Entries>& source,
-                         const ProposalRule& rule, VertexId v,
-                         BucketId explore_target, ProposalScratch* scratch,
-                         uint64_t* work = nullptr,
-                         bool* cacheable = nullptr) {
+inline Proposal ComputeProposal(const ProposalSource& source,
+                                const ProposalRule& rule, VertexId v,
+                                BucketId explore_target,
+                                ProposalScratch* scratch,
+                                uint64_t* work = nullptr,
+                                bool* cacheable = nullptr) {
   if (cacheable != nullptr) *cacheable = true;
   const GainComputer& gain = source.gain;
   const MoveTopology& topo = rule.topo;
@@ -97,7 +96,7 @@ Proposal ComputeProposal(const ProposalSource<Entries>& source,
       best.gain = sweep != nullptr
                       ? gain.MoveGainPush(*sweep, v, from, explore_target,
                                           degree)
-                      : gain.MoveGain(source.graph, source.entries, v, from,
+                      : gain.MoveGain(source.graph, source.ndata, v, from,
                                       explore_target, work);
       if (cacheable != nullptr) *cacheable = false;
     } else if (sweep != nullptr) {
@@ -107,7 +106,7 @@ Proposal ComputeProposal(const ProposalSource<Entries>& source,
       if (scratch->affinity.size() < static_cast<size_t>(topo.k)) {
         scratch->affinity.assign(static_cast<size_t>(topo.k), 0.0);
       }
-      best = gain.FindBestTarget(source.graph, source.entries, v, from, 0,
+      best = gain.FindBestTarget(source.graph, source.ndata, v, from, 0,
                                  topo.k, &scratch->affinity,
                                  &scratch->touched, work);
     }
@@ -129,7 +128,7 @@ Proposal ComputeProposal(const ProposalSource<Entries>& source,
       bool first = true;
       for (BucketId candidate : children) {
         if (candidate == from) continue;
-        const double g = gain.MoveGain(source.graph, source.entries, v, from,
+        const double g = gain.MoveGain(source.graph, source.ndata, v, from,
                                        candidate, work);
         if (first || g > best.gain) {
           best = {candidate, g};
@@ -147,14 +146,14 @@ Proposal ComputeProposal(const ProposalSource<Entries>& source,
 /// recompute — the same target, or one tied in pull-frame gain within 1e-9,
 /// with gains within 1e-9 + rtol 1e-6 (docs/refinement.md).
 /// `explore_target`, if given, holds this round's exploration draw.
-template <class Entries>
-void CheckCachedProposals(const ProposalSource<Entries>& source,
-                          const ProposalRule& rule,
-                          const std::vector<BucketId>* explore_target,
-                          const std::vector<BucketId>& targets,
-                          const std::vector<double>& gains, ThreadPool* pool) {
+inline void CheckCachedProposals(const ProposalSource& source,
+                                 const ProposalRule& rule,
+                                 const std::vector<BucketId>* explore_target,
+                                 const std::vector<BucketId>& targets,
+                                 const std::vector<double>& gains,
+                                 ThreadPool* pool) {
   const VertexId n = source.graph.num_data();
-  ProposalSource<Entries> pull = source;
+  ProposalSource pull = source;
   pull.sweep = nullptr;
   std::vector<ProposalScratch> scratch(
       std::max<size_t>(1, pool->num_threads()));
@@ -182,10 +181,10 @@ void CheckCachedProposals(const ProposalSource<Entries>& source,
         // pull frame.
         const BucketId from = source.partition.bucket_of(v);
         const double g_pull = source.gain.MoveGain(source.graph,
-                                                   source.entries, v, from,
+                                                   source.ndata, v, from,
                                                    ref.target);
         const double g_push = source.gain.MoveGain(source.graph,
-                                                   source.entries, v, from,
+                                                   source.ndata, v, from,
                                                    targets[v]);
         SHP_CHECK(std::fabs(g_pull - g_push) <= 1e-9)
             << "pull/push target divergence beyond tie tolerance for v=" << v

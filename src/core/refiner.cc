@@ -94,8 +94,8 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       !proposal_context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   if (workspaces_.size() < num_workers) workspaces_.resize(num_workers);
-  const ProposalSource<QueryNeighborData> source{
-      gain_, graph_, *partition, ndata_, push ? &sweep_ : nullptr};
+  const ProposalSource source{gain_, graph_, *partition, ndata_,
+                              push ? &sweep_ : nullptr};
   const ProposalRule rule{topo, anchor, anchor_penalty,
                           options_.propose_nonpositive};
   const auto recompute_vertex = [&](VertexId v, ProposalScratch& ws) {
@@ -181,7 +181,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   if (push) {
     // The patched accumulators must match a fresh query-major build up to
     // summation order.
-    AffinitySweep fresh(sweep_.deterministic());
+    AffinitySweep fresh;
     fresh.Build(graph_, ndata_, gain_.pow_table(), pool);
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched affinity accumulators diverged from a fresh build";

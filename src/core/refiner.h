@@ -122,11 +122,11 @@ struct IterationStats {
   /// Data vertices whose proposal was recomputed this iteration (equals
   /// num_data on a full rebuild; the incremental win is this shrinking).
   uint64_t num_recomputed = 0;
-  /// NeighborDelta records consumed by the affinity sweep (push only) —
-  /// proxy for the steady-state patch volume. The BSP engine counts each
-  /// record once at its emitting query owner; the superstep-2 wire volume
-  /// is larger by the destination fan-out (records × touched workers, see
-  /// SuperstepStats traffic).
+  /// NeighborDelta records the superstep-1 fold emitted (push only), one per
+  /// changed (query, bucket) — proxy for the steady-state patch volume. BSP
+  /// folds a round's moves at the next superstep 1, so it reports the count
+  /// one iteration after the threaded refiner does; its superstep-2 wire
+  /// volume is larger by the destination fan-out (SuperstepStats traffic).
   uint64_t num_delta_records = 0;
   /// Superstep-4 probability draws actually evaluated. Proposals whose
   /// (from, target) probability-table row is all zero skip the draw (it can

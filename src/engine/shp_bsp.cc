@@ -60,12 +60,11 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   for (VertexId v = 0; v < graph.num_data(); ++v) {
     data_owner_[v] = sharding_.DataWorker(v);
   }
-  query_ndata_.resize(graph.num_queries());
+  query_ndata_.Clear(graph.num_queries());
   query_dirty_.assign(graph.num_queries(), 1);
   known_assignment_.assign(graph.num_data(), -1);
   cached_target_.assign(graph.num_data(), -1);
   cached_gain_.assign(graph.num_data(), 0.0);
-  s1_sorted_.resize(W);
   s1_records_.resize(W);
   s2_inbox_.resize(W);
   recompute_.assign(graph.num_data(), 0);
@@ -104,7 +103,7 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
     }
     for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.QueryDegree(q) * sizeof(VertexId) +
-               query_ndata_[q].size() * sizeof(BucketCount) + 16;
+               query_ndata_.Fanout(q) * sizeof(BucketCount) + 16;
     }
     worst = std::max(worst, bytes);
   }
@@ -128,22 +127,31 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // the wire protocol or the fault schedule.
   const uint64_t epoch = epoch_++;
 
-  // Worker kill at the superstep boundary: the worker's query replicas are
-  // rebuilt from the authoritative partition state its queries last saw, and
-  // every derived structure (accumulator replicas, cached proposals,
-  // histograms) is re-bootstrapped below. Before the first iteration there
-  // is no state to lose — a kill at epoch 0 is a no-op.
+  // Worker kill at the superstep boundary: the replacement worker reloads
+  // its query shard's adjacency and rebuilds its queries' neighbor data from
+  // the partition state they last saw (known_assignment_), charged one unit
+  // per pin, and every derived structure (accumulator replicas, cached
+  // proposals, histograms) is re-bootstrapped below. Before the first
+  // iteration there is no state to lose — a kill at epoch 0 is a no-op.
   std::vector<uint64_t> recovery_work(static_cast<size_t>(W), 0);
   if (!injector_.empty() && state_valid_) {
+    bool killed = false;
     for (int w = 0; w < W; ++w) {
       if (!injector_.KillsWorker(epoch, w)) continue;
-      recovery_work[static_cast<size_t>(w)] = RecoverKilledWorker(w);
+      for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
+        recovery_work[static_cast<size_t>(w)] += graph_.QueryDegree(q);
+      }
+      killed = true;
       sweep_valid_ = false;
       proposals_valid_ = false;
       hist_valid_ = false;
       ++stats.workers_recovered;
       ++counters_.workers_recovered;
     }
+    // One host rebuild serves every killed worker: the survivors' replicas
+    // mirror known_assignment_ exactly, so rebuilding them too changes
+    // nothing.
+    if (killed) query_ndata_.Build(graph_, known_assignment_, pool);
   }
 
   // Links still in backoff at this epoch force degraded (full-reship) mode.
@@ -259,59 +267,29 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     return 0;
   });
 
-  // Receive: owner workers fold deltas into their queries' neighbor data,
-  // emitting the (q, bucket, old, new) NeighborDelta records superstep 2
-  // ships in delta-exchange mode. Incoming deltas are stably sorted by
-  // (query, bucket) first, so each query's records come out contiguous (for
-  // the grouped send) and the fold order does not depend on the message
-  // arrival interleaving.
-  std::vector<uint64_t> s1_recv_work =
-      RunPhase(W, pool, [&](int w) -> uint64_t {
-        uint64_t work = 0;
-        std::vector<BucketDeltaMsg>& sorted =
-            s1_sorted_[static_cast<size_t>(w)];
-        sorted.clear();
-        for (int src = 0; src < W; ++src) {
-          const auto& in = router1.Incoming(src, w);
-          sorted.insert(sorted.end(), in.begin(), in.end());
-        }
-        std::stable_sort(sorted.begin(), sorted.end(),
-                         [](const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
-                           if (a.query != b.query) return a.query < b.query;
-                           return a.bucket < b.bucket;
-                         });
-        // Records are only worth emitting when valid accumulator replicas
-        // will consume them; after a high-churn round the replicas were
-        // dropped and superstep 2 re-bootstraps instead.
-        std::vector<NeighborDelta>* emit =
-            push && sweep_valid_ ? &s1_records_[static_cast<size_t>(w)]
-                                 : nullptr;
-        for (const BucketDeltaMsg& m : sorted) {
-          auto& entries = query_ndata_[m.query];
-          auto it = std::lower_bound(
-              entries.begin(), entries.end(), m.bucket,
-              [](const BucketCount& e, BucketId b) { return e.bucket < b; });
-          const uint32_t old_count =
-              it != entries.end() && it->bucket == m.bucket ? it->count : 0;
-          const int64_t next = static_cast<int64_t>(old_count) + m.delta;
-          SHP_DCHECK(next >= 0);
-          const uint32_t new_count = static_cast<uint32_t>(next);
-          if (old_count != 0 && new_count == 0) {
-            entries.erase(it);
-          } else if (old_count != 0) {
-            it->count = new_count;
-          } else {
-            SHP_DCHECK(m.delta > 0);
-            entries.insert(it, {m.bucket, new_count});
-          }
-          if (emit != nullptr) {
-            emit->push_back({m.query, m.bucket, old_count, new_count});
-          }
-          query_dirty_[m.query] = 1;
-          ++work;
-        }
-        return work;
-      });
+  // Receive: each query owner folds its incoming deltas into its queries'
+  // neighbor data with the threaded Refiner's fold, which emits one
+  // (q, bucket, old, new) NeighborDelta per changed (query, bucket) in
+  // ascending order — the records superstep 2 ships in delta-exchange mode,
+  // independent of how the deltas were split over source workers. Records
+  // are only worth emitting when valid accumulator replicas will consume
+  // them; after a high-churn round the replicas were dropped and superstep
+  // 2 re-bootstraps instead. Every query that received a delta is dirty.
+  const bool emit = push && sweep_valid_;
+  std::vector<uint64_t> s1_recv_work(static_cast<size_t>(W), 0);
+  for (int w = 0; w < W; ++w) {
+    s1_inbox_.clear();
+    for (int src = 0; src < W; ++src) {
+      const auto& in = router1.Incoming(src, w);
+      s1_inbox_.insert(s1_inbox_.end(), in.begin(), in.end());
+    }
+    s1_recv_work[static_cast<size_t>(w)] = s1_inbox_.size();
+    s1_touched_.clear();
+    query_ndata_.ApplyDeltas(s1_inbox_, pool, &s1_touched_,
+                             emit ? &s1_records_[static_cast<size_t>(w)]
+                                  : nullptr);
+    for (const VertexId q : s1_touched_) query_dirty_[q] = 1;
+  }
 
   // Records are emitted exactly when push && sweep_valid_ — superstep 2
   // then patches the accumulator replicas with them. The exchange mode is
@@ -339,21 +317,12 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     // from the current assignment.
     QueryNeighborData fresh;
     fresh.Build(graph_, partition->assignment(), pool);
-    for (VertexId q = 0; q < graph_.num_queries(); ++q) {
-      const auto span = fresh.Entries(q);
-      SHP_CHECK(span.size() == query_ndata_[q].size() &&
-                std::equal(span.begin(), span.end(), query_ndata_[q].begin()))
-          << "BSP query replica diverged from rebuild for q=" << q;
-    }
+    SHP_CHECK(query_ndata_.ContentEquals(fresh))
+        << "BSP query replicas diverged from a rebuild";
   }
 #endif
 
   // ---------------------------------------------------------------- S2 ---
-  // The query replicas as one entry source for the sweep builds and the
-  // pull scan.
-  const auto replicas = [this](VertexId q) {
-    return std::span<const BucketCount>(query_ndata_[q]);
-  };
   // The scan direction is fixed per instance, so the topology and anchor
   // are all the cached proposals depend on beyond the replicas.
   const bool context_ok =
@@ -382,8 +351,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     // Delta-exchange send: each dirty query's owner ships the sparse
     // NeighborDelta records produced while folding superstep 1 — O(delta
     // records × touched workers) on the wire, not O(Σ deg(dirty q) ×
-    // touched workers). Records are grouped by query (the fold sorted
-    // them), so the destination mask is computed once per query.
+    // touched workers). Records are grouped by query (the fold emits them
+    // ascending), so the destination mask is computed once per query.
     s2_send_work = RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
@@ -466,8 +435,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
         // are topology-free, which is what lets later recursion levels
         // re-slice the active window instead of reshipping.
         std::vector<BucketCount> restricted;
-        restricted.reserve(query_ndata_[q].size());
-        for (const BucketCount& e : query_ndata_[q]) {
+        restricted.reserve(query_ndata_.Fanout(q));
+        for (const BucketCount& e : query_ndata_.Entries(q)) {
           if (bootstrap ||
               topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0) {
             restricted.push_back(e);
@@ -510,7 +479,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       // Build each data worker's accumulator replica from the shipment, one
       // query-major pass over its own shard.
       const std::vector<uint64_t> build_work = sweep_.BuildSharded(
-          graph_, replicas, gain_.pow_table(), data_owner_, W, pool);
+          graph_, query_ndata_, gain_.pow_table(), data_owner_, W, pool);
       for (int w = 0; w < W; ++w) {
         s2_patch_work[static_cast<size_t>(w)] =
             build_work[static_cast<size_t>(w)];
@@ -522,11 +491,11 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       ResyncLinks();
     }
   } else {
-    // Receive: each worker consumes its inbox (src order keeps every
-    // per-(q, bucket) chain intact — a query's records come from its single
-    // owner), marks the blast radius, and patches the accumulator replicas.
-    // The verified transfer above already filled the inbox — the records
-    // here are the *decoded* frames.
+    // Receive: each worker consumes its inbox (the transfer merged the
+    // per-source runs, so it is ascending (q, bucket) — the order the
+    // threaded refiner patches in), marks the blast radius, and patches the
+    // accumulator replicas. The verified transfer above already filled the
+    // inbox — the records here are the *decoded* frames.
     s2_recv_work = RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       const std::vector<NeighborDelta>& inbox =
@@ -548,15 +517,15 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       inboxes.emplace_back(s2_inbox_[static_cast<size_t>(w)]);
     }
     s2_patch_work = sweep_.ApplyDeltasSharded(graph_, inboxes,
-                                              gain_.pow_table(), data_owner_,
+                                              gain_.pow_table(), &data_owner_,
                                               pool);
   }
 
   // Proposal recomputation: the proposal function the threaded Refiner
   // runs, reading the query replicas (pull) or the accumulator replicas
   // (push), charged as the entries it scans.
-  const ProposalSource<decltype(replicas)> source{
-      gain_, graph_, *partition, replicas, push ? &sweep_ : nullptr};
+  const ProposalSource source{gain_, graph_, *partition, query_ndata_,
+                              push ? &sweep_ : nullptr};
   const ProposalRule rule{topo, anchor, anchor_penalty,
                           options_.propose_nonpositive};
   const auto recompute_vertex = [&](int w, VertexId v, uint64_t* work) {
@@ -635,9 +604,9 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   if (push) {
     // The delta-patched accumulator replicas must match a fresh owner-
     // sharded build up to float summation order.
-    AffinitySweep fresh(sweep_.deterministic());
-    fresh.BuildSharded(graph_, replicas, gain_.pow_table(), data_owner_, W,
-                       pool);
+    AffinitySweep fresh;
+    fresh.BuildSharded(graph_, query_ndata_, gain_.pow_table(), data_owner_,
+                       W, pool);
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched BSP accumulator replicas diverged from a fresh build";
   }
@@ -803,34 +772,6 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   return stats;
 }
 
-uint64_t BspRefiner::RecoverKilledWorker(int worker) {
-  // The replacement worker reloads its query shard's adjacency and rebuilds
-  // each owned query's neighbor data from the authoritative partition state
-  // the queries last saw (known_assignment_ mirrors it by construction —
-  // exact integer counts, so the rebuilt replicas are bit-identical to the
-  // lost ones and the Debug replica cross-check still passes).
-  uint64_t work = 0;
-  std::vector<BucketId> buckets;
-  for (VertexId q : query_shards_[static_cast<size_t>(worker)]) {
-    auto& entries = query_ndata_[q];
-    entries.clear();
-    buckets.clear();
-    for (VertexId v : graph_.QueryNeighbors(q)) {
-      SHP_DCHECK(known_assignment_[v] >= 0);
-      buckets.push_back(known_assignment_[v]);
-      ++work;
-    }
-    std::sort(buckets.begin(), buckets.end());
-    for (size_t i = 0; i < buckets.size();) {
-      size_t j = i;
-      while (j < buckets.size() && buckets[j] == buckets[i]) ++j;
-      entries.push_back({buckets[i], static_cast<uint32_t>(j - i)});
-      i = j;
-    }
-  }
-  return work;
-}
-
 bool BspRefiner::TransferEnveloped(uint64_t epoch,
                                    const MessageRouter<NeighborDelta>& router,
                                    SuperstepStats* s2, IterationStats* stats) {
@@ -844,11 +785,23 @@ bool BspRefiner::TransferEnveloped(uint64_t epoch,
   for (int dst = 0; dst < W; ++dst) {
     std::vector<NeighborDelta>& inbox = s2_inbox_[static_cast<size_t>(dst)];
     inbox.clear();
+    // Each source's run is ascending (q, bucket) and no (q, bucket) has two
+    // sources (a query has one owner), so merging the runs as they arrive
+    // leaves the inbox in the fold's global order.
+    const auto merge_in = [&inbox](const std::vector<NeighborDelta>& run) {
+      const size_t mid = inbox.size();
+      inbox.insert(inbox.end(), run.begin(), run.end());
+      std::inplace_merge(
+          inbox.begin(), inbox.begin() + static_cast<ptrdiff_t>(mid),
+          inbox.end(), [](const NeighborDelta& a, const NeighborDelta& b) {
+            return a.q != b.q ? a.q < b.q : a.bucket < b.bucket;
+          });
+    };
     for (int src = 0; src < W; ++src) {
       const std::vector<NeighborDelta>& buffer = router.Incoming(src, dst);
       if (src == dst) {
         // Worker-local delivery is a memory read: no wire, no envelope.
-        inbox.insert(inbox.end(), buffer.begin(), buffer.end());
+        merge_in(buffer);
         continue;
       }
       const size_t link = LinkIndex(src, dst);
@@ -918,7 +871,7 @@ bool BspRefiner::TransferEnveloped(uint64_t epoch,
 #endif
         link_recv_seq_[link] = got.sequence;
         link_last_wire_[link] = frame;
-        inbox.insert(inbox.end(), decoded.begin(), decoded.end());
+        merge_in(decoded);
         accepted = true;
       }
       if (accepted) {
@@ -975,7 +928,7 @@ Status BspRefiner::RestoreLatestCheckpoint(Partition* partition) {
   std::fill(known_assignment_.begin(), known_assignment_.end(), -1);
   // The cold full scan re-folds every vertex against before = -1, which only
   // ever *adds* counts — stale replica content must go first.
-  for (auto& entries : query_ndata_) entries.clear();
+  query_ndata_.Clear(graph_.num_queries());
   std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   pending_announce_.clear();
   last_movers_.clear();

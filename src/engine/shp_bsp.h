@@ -4,7 +4,8 @@
 //
 //   1. data → query : current bucket (delta messages; a vertex that did not
 //      move "does not send messages on superstep 1 for the next iteration").
-//      Queries fold the deltas into their sparse neighbor data.
+//      Query owners fold the deltas into their sparse neighbor data with
+//      the threaded Refiner's fold (QueryNeighborData::ApplyDeltas).
 //   2. query → data : two exchange modes, selected by
 //      RefinerOptions::sweep_mode (the same switch that picks the threaded
 //      Refiner's scan direction):
@@ -45,14 +46,16 @@
 //      rescanning n-sized arrays.
 //
 // This class implements only the distributed parts — sharding, the
-// superstep-1 combiner and fold, the superstep-2 exchange, fault recovery,
+// superstep-1 combiner, the superstep-2 exchange, fault recovery,
 // checkpoints, and the per-worker byte and work-unit accounting. Algorithm 1
-// itself is shared with the threaded Refiner: superstep 2 calls
-// ComputeProposal (core/proposal.h) on the worker replicas, superstep 3
-// keeps MoveBroker's MasterHistograms with one shard per worker, and
+// itself is shared with the threaded Refiner: superstep 1 folds with
+// QueryNeighborData::ApplyDeltas into the query replicas (one NeighborDelta
+// per changed (query, bucket), whatever the worker count), superstep 2
+// calls ComputeProposal (core/proposal.h) on the worker replicas, superstep
+// 3 keeps MoveBroker's MasterHistograms with one shard per worker, and
 // superstep 4 runs MoveDraw and MoveBroker::ExecuteMoves. From one starting
-// partition both engines therefore move the same vertices wherever their
-// arithmetic is exact (tests/engine_test.cc
+// partition both engines therefore follow bit-identical trajectories at
+// every p and worker count (tests/engine_test.cc
 // TrajectoryBitIdenticalToThreadedRefiner).
 //
 // The implementation plugs into the SHP drivers through RefinerInterface, so
@@ -99,16 +102,6 @@
 #include "objective/neighbor_data.h"
 
 namespace shp {
-
-/// Superstep-1 wire record: one bucket-count delta of one query's neighbor
-/// data, combined per (source worker, query, bucket) before the wire
-/// (Giraph's combiner). Folding these at the query owner is what produces
-/// the NeighborDelta records superstep 2 ships in delta-exchange mode.
-struct BucketDeltaMsg {
-  VertexId query;
-  BucketId bucket;
-  int32_t delta;
-};
 
 class BspRefiner : public RefinerInterface {
  public:
@@ -180,17 +173,12 @@ class BspRefiner : public RefinerInterface {
     return static_cast<size_t>(src) * config_.num_workers + dst;
   }
 
-  /// Rebuilds the query replicas owned by a killed worker from the
-  /// authoritative partition state its queries last saw. Returns the
-  /// recovery work units charged to that worker.
-  uint64_t RecoverKilledWorker(int worker);
-
   /// Delivers every remote router2d buffer as an enveloped frame through the
   /// fault injector with bounded same-sequence retransmission, filling
-  /// s2_inbox_ (src-ascending per destination, locals copied verbatim) and
-  /// link_payload_bytes_. Returns true when every link delivered; false when
-  /// some link exhausted its retries (the caller then falls into the
-  /// bootstrap reship path).
+  /// s2_inbox_ (each source's run merged in, so every inbox is ascending
+  /// (q, bucket); locals copied verbatim) and link_payload_bytes_. Returns
+  /// true when every link delivered; false when some link exhausted its
+  /// retries (the caller then falls into the bootstrap reship path).
   bool TransferEnveloped(uint64_t epoch,
                          const MessageRouter<NeighborDelta>& router,
                          SuperstepStats* s2, IterationStats* stats);
@@ -210,9 +198,10 @@ class BspRefiner : public RefinerInterface {
   std::vector<int32_t> data_owner_;  ///< data vertex -> owning worker
 
   // Distributed state. Each query's neighbor data lives on its owner worker
-  // and is updated only by that worker (single-writer); the flat vectors
-  // below are the simulation's stand-in for that per-worker memory.
-  std::vector<std::vector<BucketCount>> query_ndata_;
+  // and is updated only by that worker (single-writer); the shared
+  // structures below are the simulation's stand-in for that per-worker
+  // memory.
+  QueryNeighborData query_ndata_;
   std::vector<uint8_t> query_dirty_;
   std::vector<BucketId> known_assignment_;  ///< last state sent upstream
   /// Net executed moves of the previous superstep 4, still to be announced
@@ -265,7 +254,8 @@ class BspRefiner : public RefinerInterface {
   // Reusable per-iteration scratch (satellite of the delta-exchange work:
   // none of these are reallocated per call).
   MessageCombiner<int32_t> s1_combiner_;
-  std::vector<std::vector<BucketDeltaMsg>> s1_sorted_;  ///< per query owner
+  std::vector<BucketDeltaMsg> s1_inbox_;    ///< one query owner's messages
+  std::vector<VertexId> s1_touched_;        ///< queries the fold touched
   std::vector<std::vector<NeighborDelta>> s1_records_;  ///< per query owner
   std::vector<std::vector<NeighborDelta>> s2_inbox_;    ///< per data worker
   std::vector<uint8_t> recompute_;  ///< per-vertex mark, zeroed after use

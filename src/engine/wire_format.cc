@@ -75,9 +75,9 @@ void EncodeGroupedDeltas(std::span<const NeighborDelta> records,
       SHP_DCHECK(rec.bucket >= prev_bucket)
           << "grouped codec requires non-decreasing buckets within a group";
       AppendVarint(out, static_cast<uint64_t>(rec.bucket - prev_bucket));
-      // Chain invariant: a same-bucket successor's old_count equals the
-      // previous record's new_count, so the reference makes the common
-      // old-delta exactly 0.
+      // A same-bucket successor (the fold emits none, but chained streams
+      // are legal) usually starts where the previous record ended, so the
+      // reference makes its old-delta 0.
       const uint32_t ref =
           (have_prev && rec.bucket == prev_bucket) ? prev_new : 0;
       AppendZigZag(out, static_cast<int64_t>(rec.old_count) -

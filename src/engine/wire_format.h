@@ -1,21 +1,21 @@
 // Compact grouped wire format for superstep-2 NeighborDelta exchange.
 //
 // A (src, dst) router buffer of NeighborDelta records is highly redundant on
-// the wire: records are stably sorted by (q, bucket) — each query's records
-// are contiguous with bucket non-decreasing, query ids ascend across groups —
-// and the chain invariant (neighbor_data.h) makes a record's old_count equal
-// the previous same-bucket record's new_count, with new_count = old_count ± 1.
-// The raw struct spends 16 bytes per record on fields whose information
-// content is a few bits. The grouped codec exploits all three regularities:
+// the wire: the superstep-1 fold emits them in ascending (q, bucket) order —
+// each query's records are contiguous with bucket ascending, query ids
+// ascend across groups — one per changed (q, bucket), with small counts and
+// count changes (neighbor_data.h). The raw struct spends 16 bytes per record
+// on fields whose information content is a few bits. The grouped codec
+// exploits these regularities; it also accepts repeated same-(q, bucket)
+// records, encoding a successor's old_count against the previous new_count:
 //
 //   stream  := group*
 //   group   := varint(q − prev_group_q)  varint(record_count)  record*
 //   record  := varint(bucket − prev_bucket_in_group)
 //              zigzag(old_count − ref)       ref = previous record's
 //                                            new_count when it shares the
-//                                            bucket (chain ⇒ delta 0),
-//                                            else 0
-//              zigzag(new_count − old_count) (± 1 ⇒ one byte)
+//                                            bucket, else 0
+//              zigzag(new_count − old_count) (small change ⇒ one byte)
 //
 // with prev_group_q and prev_bucket_in_group starting at 0. Steady state this
 // is ~3 bytes per record vs 16 raw. Encoding requires only the grouping

@@ -15,15 +15,15 @@ BipartiteGraph GenerateWebGraph(const WebGraphConfig& config) {
   Rng rng(config.seed);
 
   // Hosts: contiguous page ranges with exponential sizes (few giant hosts,
-  // many small ones).
+  // many small ones), at least 2 pages each except possibly the last.
   std::vector<std::pair<VertexId, VertexId>> host_range;
   std::vector<VertexId> host_of(n);
   {
     VertexId begin = 0;
     while (begin < n) {
       const double raw = rng.NextExponential() * config.avg_host_size;
-      const VertexId size = std::max<VertexId>(
-          2, std::min<VertexId>(static_cast<VertexId>(raw) + 1, n - begin));
+      const VertexId size = std::min<VertexId>(
+          std::max<VertexId>(2, static_cast<VertexId>(raw) + 1), n - begin);
       const VertexId host = static_cast<VertexId>(host_range.size());
       for (VertexId p = begin; p < begin + size; ++p) host_of[p] = host;
       host_range.emplace_back(begin, begin + size);

@@ -173,7 +173,7 @@ void AffinitySweep::LayoutFromLists(
 }
 
 std::vector<uint64_t> AffinitySweep::BuildSharded(
-    const BipartiteGraph& graph, const EntriesFn& entries_of,
+    const BipartiteGraph& graph, const QueryNeighborData& ndata,
     const PowTable& pow, const std::vector<int32_t>& owner_of, int num_shards,
     ThreadPool* pool) {
   const VertexId n = graph.num_data();
@@ -247,7 +247,7 @@ std::vector<uint64_t> AffinitySweep::BuildSharded(
         // One contribution per occupied bucket, computed once per query and
         // shared by every owned neighbor.
         contrib.clear();
-        for (const BucketCount& e : entries_of(q)) {
+        for (const BucketCount& e : ndata.Entries(q)) {
           contrib.emplace_back(e.bucket, 1.0 - pow.Pow(e.count));
         }
         for (uint32_t c = 0; c < count; ++c, ++vi) {
@@ -283,74 +283,6 @@ double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
       [](const AffinityEntry& e, BucketId bucket) { return e.bucket < bucket; });
   if (it != entries.end() && it->bucket == b) return it->affinity;
   return 0.0;
-}
-
-void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
-                                std::span<const NeighborDelta> deltas,
-                                const PowTable& pow, ThreadPool* pool) {
-  if (deltas.empty()) return;
-  if (pool == nullptr) pool = &GlobalThreadPool();
-  const VertexId n = num_vertices();
-  if (n == 0) return;
-
-  std::span<const NeighborDelta> recs = deltas;
-  if (deterministic_) {
-    // Canonical application order: ascending (q, bucket), with each
-    // (q, bucket) chain kept in emission order (stable sort) — the per-
-    // vertex float accumulation order then no longer depends on how
-    // ApplyMoves sharded its emission across threads.
-    scratch_.sorted.assign(deltas.begin(), deltas.end());
-    std::stable_sort(scratch_.sorted.begin(), scratch_.sorted.end(),
-                     [](const NeighborDelta& a, const NeighborDelta& b) {
-                       if (a.q != b.q) return a.q < b.q;
-                       return a.bucket < b.bucket;
-                     });
-    recs = scratch_.sorted;
-  }
-
-  const size_t workers = std::max<size_t>(1, pool->num_threads());
-  const size_t shards = std::min<size_t>(workers, n);
-  // Σ-degree-weighted ranges: the patch cost of a range is driven by how
-  // many record-adjacent pins land in it, for which the degree mass is the
-  // stable proxy (uniform ranges straggle on hub-heavy shards).
-  FillDegreePrefix(graph, n, &scratch_.deg_prefix);
-  std::vector<ShardOverflow>& overflow = scratch_.overflow;
-  std::vector<int64_t>& live_delta = scratch_.live_delta;
-  overflow.resize(std::max(overflow.size(), shards));
-  live_delta.assign(std::max(live_delta.size(), shards), 0);
-  for (size_t s = 0; s < shards; ++s) {
-    overflow[s].lists.clear();
-    overflow[s].index.clear();
-  }
-
-  // Every shard scans the (short, steady-state) record list and patches the
-  // accumulators of its own vertices; growth goes to a shard-local overflow
-  // store merged serially below.
-  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    for (size_t s = sbegin; s < send; ++s) {
-      const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
-      const VertexId vend =
-          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      if (vbegin == vend) continue;
-      ShardOverflow& ovf = overflow[s];
-      int64_t delta = 0;
-      for (const NeighborDelta& rec : recs) {
-        const double add = pow.Pow(rec.old_count) - pow.Pow(rec.new_count);
-        const int32_t sup = static_cast<int32_t>(rec.old_count == 0) -
-                            static_cast<int32_t>(rec.new_count == 0);
-        const auto nbrs = graph.QueryNeighbors(rec.q);
-        const auto lo = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
-        if (lo == nbrs.end() || *lo >= vend) continue;
-        const auto hi = std::lower_bound(lo, nbrs.end(), vend);
-        for (auto it = lo; it != hi; ++it) {
-          PatchEntry(*it, rec.bucket, add, sup, &ovf, &delta);
-        }
-      }
-      live_delta[s] = delta;
-    }
-  });
-
-  MergeOverflow(shards);
 }
 
 void AffinitySweep::PatchEntry(VertexId v, BucketId bucket, double add,
@@ -430,13 +362,14 @@ void AffinitySweep::MergeOverflow(size_t count) {
 std::vector<uint64_t> AffinitySweep::ApplyDeltasSharded(
     const BipartiteGraph& graph,
     const std::vector<std::span<const NeighborDelta>>& records,
-    const PowTable& pow, const std::vector<int32_t>& owner_of,
+    const PowTable& pow, const std::vector<int32_t>* owner_of,
     ThreadPool* pool) {
   std::vector<uint64_t> work(records.size(), 0);
   const VertexId n = num_vertices();
   if (n == 0 || records.empty()) return work;
   if (pool == nullptr) pool = &GlobalThreadPool();
-  SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(n));
+  SHP_CHECK(owner_of != nullptr ? owner_of->size() == static_cast<size_t>(n)
+                                : records.size() == 1);
 
   // Host sub-sharding weights: Σ deg(q) over each worker's records is that
   // inbox's patch cost, so a hub-query-heavy inbox gets proportionally more
@@ -460,8 +393,9 @@ std::vector<uint64_t> AffinitySweep::ApplyDeltasSharded(
     VertexId vend;
   };
   const uint64_t host = std::max<uint64_t>(1, pool->num_threads());
-  // Sub-task vertex ranges are Σ-degree-weighted like the threaded patch
-  // shards: one prefix pass serves every split count.
+  // Sub-task vertex ranges are Σ-degree-weighted (the patch cost of a range
+  // follows the record-adjacent pins in it, for which the degree mass is the
+  // stable proxy): one prefix pass serves every split count.
   FillDegreePrefix(graph, n, &scratch_.deg_prefix);
   std::vector<Task> tasks;
   for (size_t s = 0; s < records.size(); ++s) {
@@ -506,7 +440,7 @@ std::vector<uint64_t> AffinitySweep::ApplyDeltasSharded(
       if (lo == nbrs.end() || *lo >= task.vend) continue;
       const auto hi = std::lower_bound(lo, nbrs.end(), task.vend);
       for (auto it = lo; it != hi; ++it) {
-        if (owner_of[*it] != task.shard) continue;
+        if (owner_of != nullptr && (*owner_of)[*it] != task.shard) continue;
         PatchEntry(*it, rec.bucket, add, sup, &ovf, &delta);
         ++ops;
       }

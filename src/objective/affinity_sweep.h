@@ -27,9 +27,11 @@
 // relative to a fresh build, so affinities (and the gains derived from them)
 // agree with the pull path only up to accumulation error — the refiner's
 // equivalence story is tolerance-based, not bit-exact (see docs/refinement.md).
-// With deterministic mode on (default), delta records are canonically sorted
-// before application, so accumulator contents are a pure function of the
-// build assignment and the executed move history, independent of thread count.
+// The superstep-1 fold emits one record per changed (q, bucket) in ascending
+// (q, bucket) order, and every patch applies records in that order, so
+// accumulator contents are a pure function of the build assignment and the
+// per-round count changes — independent of thread count, of the BSP worker
+// count, and of which engine produced the records.
 //
 // Storage mirrors QueryNeighborData: one flat arena of entries plus a packed
 // per-vertex {begin, size, cap} record with slack, tail relocation on growth,
@@ -38,7 +40,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -64,13 +65,6 @@ struct AffinityEntry {
 
 class AffinitySweep {
  public:
-  /// deterministic: sort delta records into canonical (q, bucket, old, new)
-  /// order before applying, making accumulator floats independent of the
-  /// emitting shard layout (thread count). The sort is O(R log R) over the
-  /// steady-state record count R — negligible; off saves only the sort.
-  explicit AffinitySweep(bool deterministic = true)
-      : deterministic_(deterministic) {}
-
   /// Full query-major pass: streams ndata's arena once in query order and
   /// scatters each query's per-bucket contributions to all its data
   /// neighbors. Vertices are range-sharded across workers; each shard
@@ -79,17 +73,16 @@ class AffinitySweep {
   void Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
              const PowTable& pow, ThreadPool* pool = nullptr);
 
-  /// Steady-state patch: folds ApplyMoves delta records into the affected
-  /// accumulators. O(Σ_records deg(q)) — proportional to the move blast
-  /// radius, with no rescan of untouched queries. `pow` must match Build's.
+  /// Steady-state patch: folds the superstep-1 records (ascending (q,
+  /// bucket), as QueryNeighborData::ApplyDeltas emits them) into the
+  /// affected accumulators. O(Σ_records deg(q)) — proportional to the move
+  /// blast radius, with no rescan of untouched queries. `pow` must match
+  /// Build's. The one-shard case of ApplyDeltasSharded.
   void ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
-                   ThreadPool* pool = nullptr);
-
-  /// Source of one query's replica neighbor data for the sharded build —
-  /// lets the BSP engine (per-worker replica lists, not a QueryNeighborData
-  /// arena) reuse the accumulator machinery.
-  using EntriesFn = std::function<std::span<const BucketCount>(VertexId)>;
+                   ThreadPool* pool = nullptr) {
+    ApplyDeltasSharded(graph, {deltas}, pow, nullptr, pool);
+  }
 
   /// Owner-sharded build for the BSP engine: data vertices are distributed
   /// over `num_shards` simulated workers by `owner_of` (hash placement, not
@@ -99,29 +92,29 @@ class AffinitySweep {
   /// sweep bins each query's neighbors by owner shard (contiguous ascending
   /// query ranges per host worker), and a second merges each shard's binned
   /// queries — in ascending query order, so accumulator floats are identical
-  /// to the former every-shard-streams-everything layout — into its own
-  /// vertices' lists. Returns per-shard simulated work units (accumulator
-  /// merge operations; the binning pass is host bookkeeping and is not
-  /// charged, matching the old uncharged per-shard rescan).
+  /// to Build's — into its own vertices' lists. Returns per-shard simulated
+  /// work units (accumulator merge operations; the binning pass is host
+  /// bookkeeping and is not charged).
   std::vector<uint64_t> BuildSharded(const BipartiteGraph& graph,
-                                     const EntriesFn& entries_of,
+                                     const QueryNeighborData& ndata,
                                      const PowTable& pow,
                                      const std::vector<int32_t>& owner_of,
                                      int num_shards,
                                      ThreadPool* pool = nullptr);
 
-  /// Owner-sharded patch for the BSP engine: shard s applies `records[s]` —
-  /// the worker's incoming superstep-2 wire records, each (q, bucket) chain
-  /// in emission order — to the accumulators of its own vertices. Shards are
+  /// Owner-sharded patch: shard s applies `records[s]` — for the BSP engine
+  /// a worker's merged superstep-2 inbox, ascending (q, bucket) — to the
+  /// accumulators of the vertices `owner_of` assigns it (all vertices when
+  /// `owner_of` is null, which takes exactly one shard). Shards are
   /// single-writer (disjoint ownership); on the host, each shard's patch is
-  /// sub-split into vertex ranges sized by Σ deg(q) of its records, so one
-  /// hub-query-heavy inbox spreads over threads instead of serializing the
-  /// phase. Returns per-shard simulated work units (records scanned + patch
-  /// operations).
+  /// sub-split into Σ-degree-weighted vertex ranges sized by Σ deg(q) of its
+  /// records, so one hub-query-heavy inbox spreads over threads instead of
+  /// serializing the phase. Returns per-shard simulated work units (records
+  /// scanned + patch operations).
   std::vector<uint64_t> ApplyDeltasSharded(
       const BipartiteGraph& graph,
       const std::vector<std::span<const NeighborDelta>>& records,
-      const PowTable& pow, const std::vector<int32_t>& owner_of,
+      const PowTable& pow, const std::vector<int32_t>* owner_of,
       ThreadPool* pool = nullptr);
 
   /// Accumulator entries of vertex v, sorted by bucket id ascending.
@@ -165,8 +158,6 @@ class AffinitySweep {
   /// Arena slots including slack and relocation garbage (≥ TotalEntries()).
   uint64_t ArenaSlots() const { return entries_.size(); }
 
-  bool deterministic() const { return deterministic_; }
-
   /// Repacks the arena in vertex order with fresh slack, dropping relocation
   /// garbage. Called automatically when garbage exceeds half the live
   /// volume; public for tests and memory-pressure callers.
@@ -188,16 +179,15 @@ class AffinitySweep {
     uint32_t cap;
   };
 
-  /// Shard-local store for accumulators that outgrew their slack during a
-  /// parallel ApplyDeltas (the shared arena cannot be grown concurrently).
+  /// Task-local store for accumulators that outgrew their slack during a
+  /// parallel patch (the shared arena cannot be grown concurrently).
   struct ShardOverflow {
     std::vector<std::pair<VertexId, std::vector<AffinityEntry>>> lists;
     std::unordered_map<VertexId, size_t> index;
   };
 
-  /// Reusable ApplyDeltas scratch (cleared, not reallocated, per call).
+  /// Reusable patch scratch (cleared, not reallocated, per call).
   struct PatchScratch {
-    std::vector<NeighborDelta> sorted;
     std::vector<ShardOverflow> overflow;
     std::vector<int64_t> live_delta;
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
@@ -210,8 +200,7 @@ class AffinitySweep {
 
   /// Folds one (bucket, affinity-add, support-delta) contribution into v's
   /// accumulator: in place while the slack lasts, else via `ovf` (the shared
-  /// arena cannot grow concurrently). Shared by ApplyDeltas and the
-  /// owner-sharded BSP patch.
+  /// arena cannot grow concurrently).
   void PatchEntry(VertexId v, BucketId bucket, double add, int32_t sup,
                   ShardOverflow* ovf, int64_t* live_delta);
 
@@ -226,7 +215,6 @@ class AffinitySweep {
   uint64_t live_entries_ = 0;           ///< Σ_v loc_[v].size
   uint64_t garbage_ = 0;                ///< arena slots abandoned by relocation
   uint64_t last_build_adjacency_reads_ = 0;  ///< see accessor
-  bool deterministic_ = true;
   PatchScratch scratch_;
 };
 

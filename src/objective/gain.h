@@ -29,19 +29,6 @@
 
 namespace shp {
 
-/// Per-query entry lists for the pull scans: a QueryNeighborData, or any
-/// callable q → std::span<const BucketCount> (the BSP engine passes its
-/// per-query replicas). A template parameter, not a std::function, so the
-/// threaded scan keeps its inlined arena read.
-inline std::span<const BucketCount> EntriesOf(const QueryNeighborData& ndata,
-                                              VertexId q) {
-  return ndata.Entries(q);
-}
-template <class Fn>
-std::span<const BucketCount> EntriesOf(const Fn& entries, VertexId q) {
-  return entries(q);
-}
-
 /// Candidate when no bucket in [begin, end) \ {from} holds any neighbor of
 /// v: every such bucket is as good as empty, so every scan path picks the
 /// lowest non-`from` bucket in the window — the shared deterministic
@@ -73,11 +60,9 @@ class GainComputer {
   double Pow(uint32_t n) const { return pow_table_.Pow(n); }
 
   /// Gain (objective decrease) of moving v from `from` to `to`, given the
-  /// per-query entry lists `entries` (see EntriesOf). O(deg(v) · log
-  /// fanout). from must be v's current bucket. `*work`, if given, is charged
-  /// two lookups per adjacent query.
-  template <class Entries>
-  double MoveGain(const BipartiteGraph& graph, const Entries& entries,
+  /// query neighbor data. O(deg(v) · log fanout). from must be v's current
+  /// bucket. `*work`, if given, is charged two lookups per adjacent query.
+  double MoveGain(const BipartiteGraph& graph, const QueryNeighborData& ndata,
                   VertexId v, BucketId from, BucketId to,
                   uint64_t* work = nullptr) const;
 
@@ -93,9 +78,8 @@ class GainComputer {
   /// list reset), so callers can reuse it across vertices. O(Σ_{q∈N(v)}
   /// fanout(q)) — independent of k, per the sparse neighbor-data design.
   /// `*work`, if given, is charged one unit per entry scanned.
-  template <class Entries>
   BestTarget FindBestTarget(const BipartiteGraph& graph,
-                            const Entries& entries, VertexId v,
+                            const QueryNeighborData& ndata, VertexId v,
                             BucketId from, BucketId bucket_begin,
                             BucketId bucket_end,
                             std::vector<double>* affinity_scratch,
@@ -147,16 +131,15 @@ class GainComputer {
   PowTable pow_table_;
 };
 
-template <class Entries>
-double GainComputer::MoveGain(const BipartiteGraph& graph,
-                              const Entries& entries, VertexId v,
-                              BucketId from, BucketId to,
-                              uint64_t* work) const {
+inline double GainComputer::MoveGain(const BipartiteGraph& graph,
+                                     const QueryNeighborData& ndata,
+                                     VertexId v, BucketId from, BucketId to,
+                                     uint64_t* work) const {
   if (from == to) return 0.0;
   double gain = 0.0;
   uint64_t lookups = 0;
   for (VertexId q : graph.DataNeighbors(v)) {
-    const std::span<const BucketCount> list = EntriesOf(entries, q);
+    const std::span<const BucketCount> list = ndata.Entries(q);
     const uint32_t n_from = CountIn(list, from);
     const uint32_t n_to = CountIn(list, to);
     SHP_DCHECK(n_from >= 1);
@@ -167,9 +150,8 @@ double GainComputer::MoveGain(const BipartiteGraph& graph,
   return p_ * gain;
 }
 
-template <class Entries>
-GainComputer::BestTarget GainComputer::FindBestTarget(
-    const BipartiteGraph& graph, const Entries& entries, VertexId v,
+inline GainComputer::BestTarget GainComputer::FindBestTarget(
+    const BipartiteGraph& graph, const QueryNeighborData& ndata, VertexId v,
     BucketId from, BucketId bucket_begin, BucketId bucket_end,
     std::vector<double>* affinity_scratch,
     std::vector<BucketId>* touched_scratch, uint64_t* work) const {
@@ -188,7 +170,7 @@ GainComputer::BestTarget GainComputer::FindBestTarget(
   uint64_t scanned = 0;
   for (VertexId q : graph.DataNeighbors(v)) {
     degree += 1.0;
-    const std::span<const BucketCount> list = EntriesOf(entries, q);
+    const std::span<const BucketCount> list = ndata.Entries(q);
     scanned += list.size();
     for (const BucketCount& entry : list) {
       if (entry.bucket == from) {

@@ -1,7 +1,6 @@
 #include "objective/neighbor_data.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -25,34 +24,6 @@ struct BuildScratch {
     if (counts.size() < k) counts.assign(k, 0);
   }
 };
-
-/// Applies (−1 at from, +1 at to) to an owned (overflowed) entry vector.
-void ApplyDeltaToVec(VertexId q, std::vector<BucketCount>* vec, BucketId from,
-                     BucketId to, int64_t* live_delta,
-                     std::vector<NeighborDelta>* emitted) {
-  auto lb = [&](BucketId b) {
-    return std::lower_bound(
-        vec->begin(), vec->end(), b,
-        [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
-  };
-  auto it = lb(from);
-  SHP_CHECK(it != vec->end() && it->bucket == from && it->count > 0)
-      << "move source bucket absent from neighbor data";
-  if (emitted != nullptr) emitted->push_back({q, from, it->count, it->count - 1});
-  if (--it->count == 0) {
-    vec->erase(it);
-    --*live_delta;
-  }
-  it = lb(to);
-  if (it != vec->end() && it->bucket == to) {
-    if (emitted != nullptr) emitted->push_back({q, to, it->count, it->count + 1});
-    ++it->count;
-  } else {
-    if (emitted != nullptr) emitted->push_back({q, to, 0, 1});
-    vec->insert(it, {to, 1});
-    ++*live_delta;
-  }
-}
 
 }  // namespace
 
@@ -124,253 +95,203 @@ void QueryNeighborData::Build(const BipartiteGraph& graph,
   });
 }
 
-QueryNeighborData::DeltaResult QueryNeighborData::ApplyDeltaInPlace(
-    VertexId q, BucketId from, BucketId to, int64_t* live_delta,
-    std::vector<NeighborDelta>* emitted) {
-  Loc& loc = loc_[q];
-  BucketCount* base = entries_.data() + loc.begin;
-  uint32_t n = loc.size;
-  auto lb = [&](BucketId b) {
-    return std::lower_bound(
-        base, base + n, b,
-        [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
-  };
-
-  BucketCount* it = lb(from);
-  SHP_CHECK(it != base + n && it->bucket == from && it->count > 0)
-      << "move source bucket absent from neighbor data";
-  if (emitted != nullptr) emitted->push_back({q, from, it->count, it->count - 1});
-  if (--it->count == 0) {
-    std::copy(it + 1, base + n, it);
-    loc.size = --n;
-    --*live_delta;
-  }
-
-  it = lb(to);
-  if (it != base + n && it->bucket == to) {
-    if (emitted != nullptr) emitted->push_back({q, to, it->count, it->count + 1});
-    ++it->count;
-    return DeltaResult::kDone;
-  }
-  if (n == loc.cap) return DeltaResult::kNeedsGrowth;
-  if (emitted != nullptr) emitted->push_back({q, to, 0, 1});
-  std::copy_backward(it, base + n, base + n + 1);
-  *it = {to, 1};
-  loc.size = n + 1;
-  ++*live_delta;
-  return DeltaResult::kDone;
+void QueryNeighborData::Clear(VertexId num_queries) {
+  entries_.clear();
+  loc_.assign(num_queries, Loc{});
+  live_entries_ = 0;
+  garbage_ = 0;
 }
 
-void QueryNeighborData::RelocateAndInsert(VertexId q, BucketId to) {
-  Loc& loc = loc_[q];
-  const uint32_t n = loc.size;
-  // Geometric-ish growth bounded below by the standard pad so a repeatedly
-  // growing list amortizes its relocations.
-  const uint32_t new_cap = n + 1 + std::max(kSlackPad, n / 2);
-  const uint64_t new_begin = entries_.size();
-  entries_.resize(new_begin + new_cap);
-
-  const BucketCount* old = entries_.data() + loc.begin;
-  BucketCount* fresh = entries_.data() + new_begin;
-  const BucketCount* insert_at =
-      std::lower_bound(old, old + n, to,
-                       [](const BucketCount& e, BucketId bucket) {
-                         return e.bucket < bucket;
-                       });
-  BucketCount* out = std::copy(old, insert_at, fresh);
-  *out++ = {to, 1};
-  std::copy(insert_at, old + n, out);
-
-  garbage_ += loc.cap;
-  loc.begin = new_begin;
-  loc.cap = new_cap;
-  loc.size = n + 1;
-  ++live_entries_;
-}
-
-void QueryNeighborData::ApplyMove(const BipartiteGraph& graph, VertexId v,
-                                  BucketId from, BucketId to) {
-  if (from == to) return;
-  int64_t live_delta = 0;
-  for (VertexId q : graph.DataNeighbors(v)) {
-    if (ApplyDeltaInPlace(q, from, to, &live_delta) ==
-        DeltaResult::kNeedsGrowth) {
-      RelocateAndInsert(q, to);  // accounts its own +1
-    }
-  }
-  live_entries_ = static_cast<uint64_t>(
-      static_cast<int64_t>(live_entries_) + live_delta);
-  MaybeCompact();
-}
-
-void QueryNeighborData::ApplyMoves(const BipartiteGraph& graph,
-                                   std::span<const VertexMove> moves,
-                                   ThreadPool* pool,
-                                   std::vector<VertexId>* touched_queries,
-                                   std::vector<NeighborDelta>* deltas) {
-  if (moves.empty()) return;
+template <class Expand>
+void QueryNeighborData::Fold(size_t num_items, const Expand& expand,
+                             ThreadPool* pool,
+                             std::vector<VertexId>* touched_queries,
+                             std::vector<NeighborDelta>* records) {
+  if (num_items == 0) return;
   if (pool == nullptr) pool = &GlobalThreadPool();
   const VertexId nq = num_queries();
   if (nq == 0) return;
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, nq);
-  // Over-decompose the query space so the apply pass can be balanced by the
+  // Over-decompose the query space so the fold can be balanced by the
   // *measured* delta volume instead of uniform id ranges: one hub query
-  // adjacent to many moved pins otherwise serializes its whole shard.
+  // receiving many deltas otherwise serializes its whole shard.
   const size_t minis = std::min<size_t>(static_cast<size_t>(nq), shards * 8);
   const auto mini_of = [&](VertexId q) {
     return static_cast<size_t>(static_cast<uint64_t>(q) * minis / nq);
   };
+  FoldScratch& s = scratch_;
 
-  // Scatter: expand each move into per-adjacent-query deltas, binned by the
-  // mini-shard that owns the query. buffers[w * minis + m] keeps worker-
-  // local append-only vectors, so no synchronization is needed. All scratch
-  // lives in the reusable member workspace (cleared, not reallocated, per
-  // call).
-  std::vector<std::vector<DeltaRec>>& buffers = scratch_.buffers;
-  buffers.resize(std::max(buffers.size(), workers * minis));
-  for (auto& b : buffers) b.clear();
-  pool->ParallelFor(moves.size(), [&](size_t begin, size_t end, size_t w) {
+  // Scatter in two passes over the same static item split: count each
+  // worker's deltas per mini-shard, then write them into one flat array in
+  // which every mini-shard's deltas are contiguous.
+  std::vector<size_t>& offset = s.offset;
+  offset.assign(workers * minis, 0);
+  pool->ParallelFor(num_items, [&](size_t begin, size_t end, size_t w) {
+    size_t* count = offset.data() + w * minis;
     for (size_t i = begin; i < end; ++i) {
-      const VertexMove& m = moves[i];
-      SHP_DCHECK(m.from != m.to);
-      for (VertexId q : graph.DataNeighbors(m.v)) {
-        buffers[w * minis + mini_of(q)].push_back({q, m.from, m.to});
-      }
+      expand(i, [&](const BucketDeltaMsg& d) { ++count[mini_of(d.query)]; });
+    }
+  });
+  std::vector<size_t>& mini_begin = s.mini_begin;
+  mini_begin.resize(minis + 1);
+  size_t total = 0;
+  for (size_t m = 0; m < minis; ++m) {
+    mini_begin[m] = total;
+    for (size_t w = 0; w < workers; ++w) {
+      const size_t count = offset[w * minis + m];
+      offset[w * minis + m] = total;
+      total += count;
+    }
+  }
+  mini_begin[minis] = total;
+  s.scattered.resize(total);
+  pool->ParallelFor(num_items, [&](size_t begin, size_t end, size_t w) {
+    size_t* cursor = offset.data() + w * minis;
+    for (size_t i = begin; i < end; ++i) {
+      expand(i, [&](const BucketDeltaMsg& d) {
+        s.scattered[cursor[mini_of(d.query)]++] = d;
+      });
     }
   });
 
-  // Group contiguous mini-shards into per-worker apply ranges balanced by
-  // their scattered delta counts (= Σ over dirty queries of their adjacent
-  // moved pins — the Σ-deg-of-dirty-queries measure). Boundary g is the
-  // first mini-shard whose weight prefix reaches g/shards of the total.
-  std::vector<uint64_t>& mini_weight = scratch_.mini_weight;
-  std::vector<size_t>& group_begin = scratch_.group_begin;
-  mini_weight.assign(minis, 0);
-  uint64_t total_weight = 0;
-  for (size_t w = 0; w < workers; ++w) {
-    for (size_t m = 0; m < minis; ++m) {
-      mini_weight[m] += buffers[w * minis + m].size();
-    }
-  }
-  for (size_t m = 0; m < minis; ++m) total_weight += mini_weight[m];
+  // Group contiguous mini-shards into per-worker fold ranges balanced by
+  // their delta counts: boundary g is the first mini-shard whose delta
+  // prefix reaches g/shards of the total.
+  std::vector<size_t>& group_begin = s.group_begin;
   group_begin.assign(shards + 1, minis);
   group_begin[0] = 0;
-  {
-    size_t g = 1;
-    uint64_t prefix = 0;
-    for (size_t m = 0; m < minis && g < shards; ++m) {
-      while (g < shards && prefix * shards >= total_weight * g) {
-        group_begin[g++] = m;
-      }
-      prefix += mini_weight[m];
-    }
+  for (size_t g = 1, m = 0; g < shards; ++g) {
+    while (m < minis && mini_begin[m] * shards < total * g) ++m;
+    group_begin[g] = m;
   }
 
-  // Apply: each shard splices its own queries' entry lists in place. Lists
-  // that outgrow their slack are moved to a shard-local overflow store (the
-  // shared arena cannot be grown concurrently) and merged back below.
-  std::vector<ShardOverflow>& overflow = scratch_.overflow;
-  std::vector<int64_t>& live_delta = scratch_.live_delta;
-  std::vector<std::vector<VertexId>>& touched = scratch_.touched;
-  std::vector<std::vector<NeighborDelta>>& emitted = scratch_.emitted;
-  overflow.resize(std::max(overflow.size(), shards));
-  live_delta.assign(std::max(live_delta.size(), shards), 0);
-  touched.resize(std::max(touched.size(), shards));
-  emitted.resize(std::max(emitted.size(), shards));
-  for (size_t s = 0; s < shards; ++s) {
-    overflow[s].lists.clear();
-    overflow[s].index.clear();
-    touched[s].clear();
-    emitted[s].clear();
-  }
+  // Fold: each shard sorts its deltas by (query, bucket), sums every
+  // (query, bucket) run and merges the net changes into the query's entry
+  // list — in place while the list fits its slack, else into a shard-local
+  // overflow list (the shared arena cannot be grown concurrently) that is
+  // appended to the arena below.
+  s.merged.resize(std::max(s.merged.size(), shards));
+  s.overflow.resize(std::max(s.overflow.size(), shards));
+  s.live_delta.assign(std::max(s.live_delta.size(), shards), 0);
+  s.touched.resize(std::max(s.touched.size(), shards));
+  s.records.resize(std::max(s.records.size(), shards));
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    for (size_t s = sbegin; s < send; ++s) {
-      ShardOverflow& ovf = overflow[s];
-      int64_t delta = 0;
-      std::vector<VertexId>& touched_local = touched[s];
-      std::vector<NeighborDelta>* emit_local =
-          deltas != nullptr ? &emitted[s] : nullptr;
-      // Mini-shards drain in ascending order, and within one mini-shard the
-      // per-worker buffers drain in worker order — a query's deltas (its
-      // mini-shard is unique) still apply in executed-move order for any
-      // thread count.
-      for (size_t m = group_begin[s]; m < group_begin[s + 1]; ++m) {
-        for (size_t w = 0; w < workers; ++w) {
-          for (const DeltaRec& rec : buffers[w * minis + m]) {
-            touched_local.push_back(rec.q);
-            if (!ovf.index.empty()) {
-              const auto it = ovf.index.find(rec.q);
-              if (it != ovf.index.end()) {
-                ApplyDeltaToVec(rec.q, &ovf.lists[it->second].second, rec.from,
-                                rec.to, &delta, emit_local);
-                continue;
-              }
-            }
-            if (ApplyDeltaInPlace(rec.q, rec.from, rec.to, &delta, emit_local) ==
-                DeltaResult::kNeedsGrowth) {
-              // Move to overflow with the pending insert applied.
-              const auto span = Entries(rec.q);
-              std::vector<BucketCount> vec;
-              vec.reserve(span.size() + 2);
-              const auto insert_at = std::lower_bound(
-                  span.begin(), span.end(), rec.to,
-                  [](const BucketCount& e, BucketId bucket) {
-                    return e.bucket < bucket;
-                  });
-              vec.insert(vec.end(), span.begin(), insert_at);
-              vec.push_back({rec.to, 1});
-              vec.insert(vec.end(), insert_at, span.end());
-              if (emit_local != nullptr) emit_local->push_back({rec.q, rec.to, 0, 1});
-              ++delta;
-              ovf.index.emplace(rec.q, ovf.lists.size());
-              ovf.lists.emplace_back(rec.q, std::move(vec));
-            }
+    for (size_t sh = sbegin; sh < send; ++sh) {
+      BucketDeltaMsg* it = s.scattered.data() + mini_begin[group_begin[sh]];
+      BucketDeltaMsg* const last =
+          s.scattered.data() + mini_begin[group_begin[sh + 1]];
+      std::sort(it, last, [](const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
+        return a.query != b.query ? a.query < b.query : a.bucket < b.bucket;
+      });
+      std::vector<BucketCount>& merged = s.merged[sh];
+      auto& overflow = s.overflow[sh];
+      std::vector<VertexId>& touched = s.touched[sh];
+      std::vector<NeighborDelta>* emit =
+          records != nullptr ? &s.records[sh] : nullptr;
+      overflow.clear();
+      touched.clear();
+      if (emit != nullptr) emit->clear();
+      int64_t live_delta = 0;
+      while (it != last) {
+        const VertexId q = it->query;
+        touched.push_back(q);
+        Loc& loc = loc_[q];
+        const BucketCount* old = entries_.data() + loc.begin;
+        const uint32_t n = loc.size;
+        uint32_t a = 0;
+        merged.clear();
+        while (it != last && it->query == q) {
+          const BucketId b = it->bucket;
+          int64_t sum = 0;
+          for (; it != last && it->query == q && it->bucket == b; ++it) {
+            sum += it->delta;
+          }
+          while (a < n && old[a].bucket < b) merged.push_back(old[a++]);
+          const uint32_t before =
+              a < n && old[a].bucket == b ? old[a++].count : 0;
+          const int64_t after = before + sum;
+          SHP_CHECK(after >= 0) << "neighbor count of query " << q
+                                << " in bucket " << b << " would go negative";
+          if (after > 0) merged.push_back({b, static_cast<uint32_t>(after)});
+          if (sum != 0 && emit != nullptr) {
+            emit->push_back({q, b, before, static_cast<uint32_t>(after)});
           }
         }
+        merged.insert(merged.end(), old + a, old + n);
+        live_delta += static_cast<int64_t>(merged.size()) - n;
+        if (merged.size() <= loc.cap) {
+          std::copy(merged.begin(), merged.end(),
+                    entries_.begin() + static_cast<ptrdiff_t>(loc.begin));
+          loc.size = static_cast<uint32_t>(merged.size());
+        } else {
+          overflow.emplace_back(q, merged);
+        }
       }
-      std::sort(touched_local.begin(), touched_local.end());
-      touched_local.erase(
-          std::unique(touched_local.begin(), touched_local.end()),
-          touched_local.end());
-      live_delta[s] = delta;
+      s.live_delta[sh] = live_delta;
     }
   });
 
-  // Merge: append overflowed lists to the arena tail (serial — the arena may
-  // reallocate) and fold the per-shard accounting.
+  // Append the overflowed lists to the arena tail (serial — the arena may
+  // reallocate) and fold the per-shard accounting. Shards own ascending
+  // query ranges, so concatenating their outputs keeps them ascending.
   int64_t total_delta = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    total_delta += live_delta[s];
-    for (auto& [q, vec] : overflow[s].lists) {
+  for (size_t sh = 0; sh < shards; ++sh) {
+    total_delta += s.live_delta[sh];
+    for (auto& [q, vec] : s.overflow[sh]) {
       const uint32_t n = static_cast<uint32_t>(vec.size());
       const uint32_t new_cap = n + std::max(kSlackPad, n / 2);
       const uint64_t new_begin = entries_.size();
       entries_.resize(new_begin + new_cap);
-      std::copy(vec.begin(), vec.end(), entries_.begin() + new_begin);
+      std::copy(vec.begin(), vec.end(),
+                entries_.begin() + static_cast<ptrdiff_t>(new_begin));
       Loc& loc = loc_[q];
       garbage_ += loc.cap;
       loc.begin = new_begin;
       loc.cap = new_cap;
       loc.size = n;
     }
+    if (touched_queries != nullptr) {
+      touched_queries->insert(touched_queries->end(), s.touched[sh].begin(),
+                              s.touched[sh].end());
+    }
+    if (records != nullptr) {
+      records->insert(records->end(), s.records[sh].begin(),
+                      s.records[sh].end());
+    }
   }
   live_entries_ = static_cast<uint64_t>(
       static_cast<int64_t>(live_entries_) + total_delta);
-
-  if (touched_queries != nullptr) {
-    for (size_t s = 0; s < shards; ++s) {
-      touched_queries->insert(touched_queries->end(), touched[s].begin(),
-                              touched[s].end());
-    }
-  }
-  if (deltas != nullptr) {
-    for (size_t s = 0; s < shards; ++s) {
-      deltas->insert(deltas->end(), emitted[s].begin(), emitted[s].end());
-    }
-  }
   MaybeCompact();
+}
+
+void QueryNeighborData::ApplyDeltas(std::span<const BucketDeltaMsg> deltas,
+                                    ThreadPool* pool,
+                                    std::vector<VertexId>* touched_queries,
+                                    std::vector<NeighborDelta>* records) {
+  Fold(
+      deltas.size(),
+      [&](size_t i, const auto& emit) { emit(deltas[i]); }, pool,
+      touched_queries, records);
+}
+
+void QueryNeighborData::ApplyMoves(const BipartiteGraph& graph,
+                                   std::span<const VertexMove> moves,
+                                   ThreadPool* pool,
+                                   std::vector<VertexId>* touched_queries,
+                                   std::vector<NeighborDelta>* records) {
+  Fold(
+      moves.size(),
+      [&](size_t i, const auto& emit) {
+        const VertexMove& m = moves[i];
+        SHP_DCHECK(m.from != m.to);
+        for (VertexId q : graph.DataNeighbors(m.v)) {
+          emit({q, m.from, -1});
+          emit({q, m.to, +1});
+        }
+      },
+      pool, touched_queries, records);
 }
 
 void QueryNeighborData::Compact() {

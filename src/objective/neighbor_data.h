@@ -7,19 +7,19 @@
 // defeat the scalability analysis for large k.
 //
 // The structure is *incrementally maintained*: a full Build runs once per
-// topology change, and the per-iteration refinement loop folds the executed
-// move list in with ApplyMoves — O(Σ deg(moved) · fanout) instead of the
-// O(|E| log maxdeg) rebuild. To make in-place splicing cheap, each query's
-// entry list owns a small slack capacity inside one flat arena; a list that
-// outgrows its slack is relocated to the arena tail, and the arena is
-// compacted (epoch compaction) once relocation garbage plus slack exceed the
-// live volume.
+// topology change, and every superstep 1 folds the round's bucket-count
+// deltas in with ApplyDeltas (the threaded refiner's executed moves through
+// ApplyMoves, the BSP engine's combined wire messages directly) — O(Σ
+// deg(moved) · fanout) instead of the O(|E| log maxdeg) rebuild. To make
+// in-place splicing cheap, each query's entry list owns a small slack
+// capacity inside one flat arena; a list that outgrows its slack is
+// relocated to the arena tail, and the arena is compacted (epoch compaction)
+// once relocation garbage plus slack exceed the live volume.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,18 +60,25 @@ struct VertexMove {
   bool operator==(const VertexMove&) const = default;
 };
 
-/// One observed bucket-count transition of a query during ApplyMoves:
-/// n_bucket(q) went from old_count to new_count (new_count = old_count ± 1).
-/// Records for the same (q, bucket) chain — a later record's old_count equals
-/// the previous record's new_count. The emission order preserves each chain:
-/// all of a query's records come from its owning shard, which drains the
-/// per-worker scatter buffers in move-list order (the ParallelFor split is a
-/// contiguous ascending range per worker), so a query's records appear in
-/// executed-move order for *any* thread count. Consumers that fold records
-/// into derived state (the affinity sweep) may interleave different queries'
-/// records freely but must keep each (q, bucket) chain in emission order —
-/// the occupancy transitions (old == 0 adds support, new == 0 removes it)
-/// are only well-formed along the chain.
+/// One signed change of a query's neighbor count in one bucket: the input
+/// of the superstep-1 fold (QueryNeighborData::ApplyDeltas). The BSP engine
+/// ships these as its superstep-1 wire messages, combined per (source
+/// worker, query, bucket) before the wire (Giraph's combiner); the threaded
+/// refiner expands each executed move into −1 at `from` and +1 at `to` on
+/// every adjacent query.
+struct BucketDeltaMsg {
+  VertexId query;
+  BucketId bucket;
+  int32_t delta;
+};
+
+/// The net outcome of one superstep-1 fold for one (query, bucket):
+/// n_bucket(q) went from old_count to new_count. The fold sums every delta a
+/// (q, bucket) received and emits exactly one record per (q, bucket) whose
+/// count changed, in ascending (q, bucket) order — so the records depend only
+/// on the before and after counts, never on how the deltas were split across
+/// moves, source workers or threads. Consumers (the affinity sweep) patch in
+/// that order; old_count == 0 adds support, new_count == 0 removes it.
 struct NeighborDelta {
   VertexId q;
   BucketId bucket;
@@ -114,33 +121,38 @@ class QueryNeighborData {
   /// Total entries = Σ_q fanout(q); proxy for superstep-2 message volume.
   uint64_t TotalEntries() const { return live_entries_; }
 
-  /// Applies a single move (v: from -> to) to all queries adjacent to v,
-  /// splicing each affected entry list in place (relocating to the arena
-  /// tail only when a list outgrows its slack). O(deg(v) · fanout).
-  void ApplyMove(const BipartiteGraph& graph, VertexId v, BucketId from,
-                 BucketId to);
+  /// Empties the structure to `num_queries` queries with no entries — the
+  /// starting state of a replica store that ApplyDeltas fills.
+  void Clear(VertexId num_queries);
 
-  /// Applies a batch of executed moves in parallel: the query space is
-  /// over-decomposed into contiguous mini-shards, per-query bucket-count
-  /// deltas are scattered to their owning mini-shard, and mini-shards are
-  /// then grouped into per-worker apply ranges *weighted by their scattered
-  /// delta counts* (the Σ-deg-of-dirty-queries measure) — uniform ranges let
-  /// one hub query serialize a whole shard. Each worker splices its queries'
-  /// entry lists in place. O(Σ_v deg(v) · fanout) total work over the moved
-  /// vertices —
-  /// independent of |E|. If `touched_queries` is non-null, the ids of all
-  /// queries whose entries changed are appended (each id once, ascending).
-  /// If `deltas` is non-null, every bucket-count transition is appended as a
-  /// NeighborDelta record (two per applied move × adjacent query) — the
-  /// steady-state feed of the query-major affinity sweep.
+  /// The superstep-1 fold: sums each (query, bucket) run of `deltas` and
+  /// splices the net change into the query's entry list in place (a list
+  /// that outgrows its slack is relocated to the arena tail). The query
+  /// space is over-decomposed into contiguous mini-shards; deltas are
+  /// scattered to their owning mini-shard, and mini-shards are grouped into
+  /// per-worker fold ranges weighted by their delta counts — uniform ranges
+  /// let one hub query serialize a whole shard. O(Σ deltas · log) work,
+  /// independent of |E|. A count may not go negative. If `touched_queries`
+  /// is non-null, every query that received a delta — including one whose
+  /// deltas cancel — is appended (each id once, ascending). If `records` is
+  /// non-null, one NeighborDelta per (query, bucket) whose count changed is
+  /// appended in ascending (query, bucket) order.
+  void ApplyDeltas(std::span<const BucketDeltaMsg> deltas,
+                   ThreadPool* pool = nullptr,
+                   std::vector<VertexId>* touched_queries = nullptr,
+                   std::vector<NeighborDelta>* records = nullptr);
+
+  /// Folds a batch of executed moves: each move is −1 at `from` and +1 at
+  /// `to` on every query adjacent to v, folded as by ApplyDeltas.
+  /// O(Σ_v deg(v) · log) over the moved vertices.
   void ApplyMoves(const BipartiteGraph& graph,
                   std::span<const VertexMove> moves, ThreadPool* pool = nullptr,
                   std::vector<VertexId>* touched_queries = nullptr,
-                  std::vector<NeighborDelta>* deltas = nullptr);
+                  std::vector<NeighborDelta>* records = nullptr);
 
   /// Repacks the arena in query order with fresh slack, dropping relocation
-  /// garbage. Called automatically by ApplyMove/ApplyMoves when overhead
-  /// exceeds the live volume; public for tests and memory-pressure callers.
+  /// garbage. Called automatically by ApplyDeltas when overhead exceeds the
+  /// live volume; public for tests and memory-pressure callers.
   void Compact();
 
   /// True iff both structures hold the same logical content (identical entry
@@ -161,51 +173,32 @@ class QueryNeighborData {
     uint32_t cap;    ///< arena slots owned by q (≥ size)
   };
 
-  /// One scattered bucket-count delta: query q loses a neighbor in `from`
-  /// and gains one in `to`.
-  struct DeltaRec {
-    VertexId q;
-    BucketId from;
-    BucketId to;
-  };
-
-  /// Shard-local store for entry lists that outgrew their slack during a
-  /// parallel ApplyMoves (the shared arena cannot be grown concurrently).
-  struct ShardOverflow {
-    std::vector<std::pair<VertexId, std::vector<BucketCount>>> lists;
-    std::unordered_map<VertexId, size_t> index;
-  };
-
-  /// Reusable ApplyMoves scratch: scatter buffers (workers × shards,
-  /// flattened), per-shard overflow/accounting/touched lists. Cleared, not
-  /// reallocated, between calls — ApplyMoves runs once per refinement
-  /// iteration and the buffer count scales with cores².
-  struct ApplyScratch {
-    std::vector<std::vector<DeltaRec>> buffers;
-    std::vector<ShardOverflow> overflow;
+  /// Reusable fold scratch, cleared, not reallocated, between calls: the
+  /// deltas scattered by mini-shard into one flat array, per-(worker,
+  /// mini-shard) scatter offsets, the weighted mini-shard → worker map, and
+  /// per-shard spliced lists, overflow, accounting and outputs.
+  struct FoldScratch {
+    std::vector<BucketDeltaMsg> scattered;
+    std::vector<size_t> offset;       ///< [w * minis + m] scatter cursor
+    std::vector<size_t> mini_begin;   ///< mini-shard m's first delta
+    std::vector<size_t> group_begin;  ///< weighted mini-shard → worker map
+    std::vector<std::vector<BucketCount>> merged;  ///< per-shard splice
+    /// Lists that outgrew their slack (the shared arena cannot be grown
+    /// concurrently); appended to the arena tail after the fold.
+    std::vector<std::vector<std::pair<VertexId, std::vector<BucketCount>>>>
+        overflow;
     std::vector<int64_t> live_delta;
     std::vector<std::vector<VertexId>> touched;
-    std::vector<std::vector<NeighborDelta>> emitted;
-    std::vector<uint64_t> mini_weight;  ///< scattered deltas per mini-shard
-    std::vector<size_t> group_begin;    ///< weighted mini-shard → worker map
+    std::vector<std::vector<NeighborDelta>> records;
   };
 
-  /// Outcome of an in-place delta application attempt.
-  enum class DeltaResult { kDone, kNeedsGrowth };
-
-  /// Applies (−1 at `from`, +1 at `to`) to q's entry list, accumulating the
-  /// entry-count change into *live_delta. The decrement always fits; if the
-  /// increment must insert a new bucket and the list is at capacity, returns
-  /// kNeedsGrowth with the decrement applied (and recorded in `emitted` if
-  /// non-null) and the insert still pending — the caller must record the
-  /// pending (to, 0, 1) transition itself after performing the insert.
-  DeltaResult ApplyDeltaInPlace(VertexId q, BucketId from, BucketId to,
-                                int64_t* live_delta,
-                                std::vector<NeighborDelta>* emitted = nullptr);
-
-  /// Serial growth path: relocates q's list to the arena tail with fresh
-  /// slack and performs the pending insert of `to`.
-  void RelocateAndInsert(VertexId q, BucketId to);
+  /// The fold behind ApplyDeltas and ApplyMoves: `expand(i, emit)` emits the
+  /// BucketDeltaMsgs of input item i (it is called twice per item, once to
+  /// count and once to scatter).
+  template <class Expand>
+  void Fold(size_t num_items, const Expand& expand, ThreadPool* pool,
+            std::vector<VertexId>* touched_queries,
+            std::vector<NeighborDelta>* records);
 
   void MaybeCompact();
 
@@ -213,7 +206,7 @@ class QueryNeighborData {
   std::vector<Loc> loc_;              ///< per-query list location
   uint64_t live_entries_ = 0;         ///< Σ_q loc_[q].size
   uint64_t garbage_ = 0;              ///< arena slots abandoned by relocation
-  ApplyScratch scratch_;              ///< reusable ApplyMoves workspace
+  FoldScratch scratch_;               ///< reusable fold workspace
 };
 
 }  // namespace shp

@@ -1,9 +1,10 @@
 // Query-major affinity sweep tests: NeighborDelta emission from ApplyMoves
-// (record chains vs before/after CountFor diffs), accumulator build/patch
-// equivalence with a fresh query-major pass, deterministic-mode thread-count
-// independence, pull-vs-push best-target consistency (tie-breaks, restricted
-// windows, empty-window fallback), and the refiner-level pull-vs-push
-// tolerance harness across all three MoveBroker strategies.
+// (one record per changed (q, bucket) vs before/after CountFor diffs),
+// accumulator build/patch equivalence with a fresh query-major pass,
+// thread-count independence, pull-vs-push best-target consistency
+// (tie-breaks, restricted windows, empty-window fallback), and the
+// refiner-level pull-vs-push tolerance harness across all three MoveBroker
+// strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,7 +67,7 @@ uint64_t PackQB(VertexId q, BucketId b) {
 }
 
 // ------------------------------------------------------- delta emission API
-TEST(DeltaEmission, RecordsChainFromBeforeToAfterCounts) {
+TEST(DeltaEmission, RecordsGoFromBeforeToAfterCounts) {
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
   std::vector<BucketId> assignment =
@@ -75,10 +76,11 @@ TEST(DeltaEmission, RecordsChainFromBeforeToAfterCounts) {
   ndata.Build(g, assignment);
 
   for (uint64_t round = 0; round < 30; ++round) {
-    // Replay the records over a snapshot of the before-counts: each record's
-    // old_count must match the tracked value (the chains are emitted in
-    // order per (q, bucket)), and the replayed state must equal the after-
-    // counts exactly — no transition lost, none fabricated.
+    // The fold emits one record per (q, bucket) whose count changed, in
+    // strictly ascending (q, bucket) order, carrying the before and after
+    // counts; replaying the records over a snapshot of the before-counts
+    // must reproduce the after-counts exactly — no change lost, none
+    // fabricated.
     std::unordered_map<uint64_t, uint32_t> tracked;
     for (VertexId q = 0; q < g.num_queries(); ++q) {
       for (const BucketCount& e : ndata.Entries(q)) {
@@ -93,14 +95,19 @@ TEST(DeltaEmission, RecordsChainFromBeforeToAfterCounts) {
     std::vector<NeighborDelta> deltas;
     ndata.ApplyMoves(g, moves, nullptr, nullptr, &deltas);
 
-    for (const NeighborDelta& rec : deltas) {
-      ASSERT_TRUE(rec.new_count == rec.old_count + 1 ||
-                  rec.new_count + 1 == rec.old_count)
-          << "records are unit transitions";
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      const NeighborDelta& rec = deltas[i];
       const uint64_t key = PackQB(rec.q, rec.bucket);
+      if (i > 0) {
+        ASSERT_LT(PackQB(deltas[i - 1].q, deltas[i - 1].bucket), key)
+            << "records are strictly ascending and unique per (q, bucket)";
+      }
+      ASSERT_NE(rec.old_count, rec.new_count) << "only changed counts emit";
       const auto it = tracked.find(key);
-      const uint32_t current = it == tracked.end() ? 0 : it->second;
-      ASSERT_EQ(current, rec.old_count)
+      const uint32_t before = it == tracked.end() ? 0 : it->second;
+      ASSERT_EQ(before, rec.old_count)
+          << "round " << round << " q=" << rec.q << " b=" << rec.bucket;
+      ASSERT_EQ(ndata.CountFor(rec.q, rec.bucket), rec.new_count)
           << "round " << round << " q=" << rec.q << " b=" << rec.bucket;
       tracked[key] = rec.new_count;
     }
@@ -123,21 +130,51 @@ TEST(DeltaEmission, UntouchedQueriesEmitNothing) {
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
 
-  const VertexId v = 0;
-  const BucketId from = assignment[v];
-  const BucketId to = (from + 1) % k;
-  const VertexMove move{v, from, to};
-  std::vector<NeighborDelta> deltas;
-  ndata.ApplyMoves(g, {&move, 1}, nullptr, nullptr, &deltas);
-
-  const auto nbrs = g.DataNeighbors(v);
-  for (const NeighborDelta& rec : deltas) {
-    EXPECT_TRUE(std::binary_search(nbrs.begin(), nbrs.end(), rec.q))
-        << "delta for a query not adjacent to the moved vertex";
-    EXPECT_TRUE(rec.bucket == from || rec.bucket == to);
+  // Two vertices in different buckets that share a query swap buckets: on
+  // every shared query the moves cancel (A→B plus B→A).
+  VertexId v1 = 0;
+  VertexId v2 = 0;
+  for (VertexId q = 0; q < g.num_queries() && v1 == v2; ++q) {
+    const auto nbrs = g.QueryNeighbors(q);
+    for (size_t i = 1; i < nbrs.size(); ++i) {
+      if (assignment[nbrs[i]] != assignment[nbrs[0]]) {
+        v1 = nbrs[0];
+        v2 = nbrs[i];
+        break;
+      }
+    }
   }
-  // Exactly two records (one per touched bucket) per adjacent query.
-  EXPECT_EQ(deltas.size(), 2 * nbrs.size());
+  ASSERT_NE(v1, v2);
+  const BucketId a = assignment[v1];
+  const BucketId b = assignment[v2];
+  const VertexMove moves[] = {{v1, a, b}, {v2, b, a}};
+  std::vector<NeighborDelta> deltas;
+  std::vector<VertexId> touched;
+  ndata.ApplyMoves(g, moves, nullptr, &touched, &deltas);
+
+  const auto n1 = g.DataNeighbors(v1);
+  const auto n2 = g.DataNeighbors(v2);
+  const auto adjacent = [](std::span<const VertexId> nbrs, VertexId q) {
+    return std::binary_search(nbrs.begin(), nbrs.end(), q);
+  };
+  size_t exclusive = 0;  // queries adjacent to exactly one of v1, v2
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    const bool in1 = adjacent(n1, q);
+    const bool in2 = adjacent(n2, q);
+    if (in1 != in2) ++exclusive;
+    EXPECT_EQ(std::binary_search(touched.begin(), touched.end(), q),
+              in1 || in2)
+        << "every query that received a delta is touched, q=" << q;
+  }
+  for (const NeighborDelta& rec : deltas) {
+    EXPECT_TRUE(adjacent(n1, rec.q) != adjacent(n2, rec.q))
+        << "record for q=" << rec.q
+        << ", which is untouched or whose moves cancel";
+    EXPECT_TRUE(rec.bucket == a || rec.bucket == b);
+  }
+  // One record per changed (query, bucket): both buckets of every query
+  // adjacent to exactly one mover.
+  EXPECT_EQ(deltas.size(), 2 * exclusive);
 }
 
 // ------------------------------------------------------ accumulator content
@@ -232,8 +269,8 @@ TEST(AffinitySweepSharded, BuildShardedMatchesUnshardedBuild) {
     owner[v] = static_cast<int32_t>(HashToBounded(77, v, 1, num_shards));
   }
   AffinitySweep sharded;
-  const std::vector<uint64_t> work = sharded.BuildSharded(
-      g, [&](VertexId q) { return ndata.Entries(q); }, pow, owner, num_shards);
+  const std::vector<uint64_t> work =
+      sharded.BuildSharded(g, ndata, pow, owner, num_shards);
   ASSERT_EQ(work.size(), static_cast<size_t>(num_shards));
   EXPECT_GT(work[0] + work[1] + work[2], 0u);
   EXPECT_EQ(sharded.TotalEntries(), base.TotalEntries());
@@ -261,7 +298,6 @@ TEST(AffinitySweepSharded, BootstrapReadsAdjacencyExactlyOnceForAnyShardCount) {
       Partition::Random(g.num_data(), k, 5).assignment();
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
-  const auto entries_of = [&](VertexId q) { return ndata.Entries(q); };
 
   AffinitySweep reference;
   bool have_reference = false;
@@ -271,11 +307,11 @@ TEST(AffinitySweepSharded, BootstrapReadsAdjacencyExactlyOnceForAnyShardCount) {
       owner[v] = static_cast<int32_t>(HashToBounded(55, v, 3, num_shards));
     }
     AffinitySweep sweep;
-    sweep.BuildSharded(g, entries_of, pow, owner, num_shards);
+    sweep.BuildSharded(g, ndata, pow, owner, num_shards);
     EXPECT_EQ(sweep.last_build_adjacency_reads(), g.num_edges())
         << "W=" << num_shards;
     if (!have_reference) {
-      reference.BuildSharded(g, entries_of, pow, owner, 1);
+      reference.BuildSharded(g, ndata, pow, owner, 1);
       have_reference = true;
     }
     ASSERT_EQ(sweep.TotalEntries(), reference.TotalEntries())
@@ -296,7 +332,7 @@ TEST(AffinitySweepSharded, BootstrapReadsAdjacencyExactlyOnceForAnyShardCount) {
     owner[v] = static_cast<int32_t>(HashToBounded(55, v, 3, 4));
   }
   AffinitySweep threaded;
-  threaded.BuildSharded(g, entries_of, pow, owner, 4, &pool);
+  threaded.BuildSharded(g, ndata, pow, owner, 4, &pool);
   EXPECT_EQ(threaded.last_build_adjacency_reads(), g.num_edges());
 }
 
@@ -317,10 +353,9 @@ TEST(AffinitySweepSharded, ApplyDeltasShardedMatchesFreshBuild) {
   for (VertexId v = 0; v < g.num_data(); ++v) {
     owner[v] = static_cast<int32_t>(HashToBounded(13, v, 2, num_shards));
   }
-  const auto entries_of = [&](VertexId q) { return ndata.Entries(q); };
 
   AffinitySweep sweep;
-  sweep.BuildSharded(g, entries_of, pow, owner, num_shards);
+  sweep.BuildSharded(g, ndata, pow, owner, num_shards);
   for (uint64_t round = 0; round < 30; ++round) {
     const std::vector<VertexMove> moves =
         RandomBatch(&assignment, k, 41, round, 25);
@@ -329,17 +364,17 @@ TEST(AffinitySweepSharded, ApplyDeltasShardedMatchesFreshBuild) {
     const std::vector<std::span<const NeighborDelta>> inboxes(
         num_shards, std::span<const NeighborDelta>(deltas));
     const std::vector<uint64_t> work =
-        sweep.ApplyDeltasSharded(g, inboxes, pow, owner);
+        sweep.ApplyDeltasSharded(g, inboxes, pow, &owner);
     ASSERT_EQ(work.size(), static_cast<size_t>(num_shards));
 
     AffinitySweep fresh;
-    fresh.BuildSharded(g, entries_of, pow, owner, num_shards);
+    fresh.BuildSharded(g, ndata, pow, owner, num_shards);
     ASSERT_TRUE(sweep.ApproxEquals(fresh, 1e-9, 1e-9)) << "round " << round;
     ASSERT_EQ(sweep.TotalEntries(), fresh.TotalEntries()) << "round " << round;
   }
 }
 
-TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
+TEST(AffinitySweep, PatchIsThreadCountInvariant) {
   const BipartiteGraph g = TestGraph(21);
   const BucketId k = 8;
   const double p = 0.3;
@@ -352,7 +387,7 @@ TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
   QueryNeighborData nd1, nd4;
   nd1.Build(g, a1, &pool1);
   nd4.Build(g, a4, &pool4);
-  AffinitySweep s1(/*deterministic=*/true), s4(/*deterministic=*/true);
+  AffinitySweep s1, s4;
   s1.Build(g, nd1, pow, &pool1);
   s4.Build(g, nd4, pow, &pool4);
 
@@ -362,6 +397,7 @@ TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
     std::vector<NeighborDelta> d1, d4;
     nd1.ApplyMoves(g, moves, &pool1, nullptr, &d1);
     nd4.ApplyMoves(g, moves, &pool4, nullptr, &d4);
+    ASSERT_EQ(d1, d4) << "the fold's records do not depend on thread count";
     s1.ApplyDeltas(g, d1, pow, &pool1);
     s4.ApplyDeltas(g, d4, pow, &pool4);
     for (VertexId v = 0; v < g.num_data(); ++v) {
@@ -369,7 +405,7 @@ TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
       const auto e4 = s4.Entries(v);
       ASSERT_EQ(e1.size(), e4.size()) << "v=" << v;
       for (size_t i = 0; i < e1.size(); ++i) {
-        // Bitwise-equal floats: canonical record order makes the patched
+        // Bitwise-equal floats: canonical records make the patched
         // accumulators independent of the emitting/applying thread counts.
         ASSERT_EQ(e1[i], e4[i]) << "v=" << v << " i=" << i;
       }

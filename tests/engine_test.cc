@@ -166,14 +166,14 @@ TEST(BspRefiner, QualityMatchesThreadedRefiner) {
   EXPECT_EQ(log.size() % 4, 0u) << "four supersteps per iteration (Fig. 3)";
 }
 
-// Both engines run the same proposal, histogram and move-execution code, so
-// from one starting partition their trajectories must agree bit for bit —
-// for every topology, scan direction and cluster width, and under the
-// anchor / nonpositive-filter / move-budget options. Push accumulators are
-// patched in a different order per engine (the threaded refiner applies one
-// record per executed move, BSP one combined record per (query, bucket)),
-// which is exact only while every B^n term is dyadic, as at p = 0.5 here;
-// the p = 0.3 anchored case therefore runs the pull scan.
+// Both engines run the same superstep-1 fold, proposal, histogram and
+// move-execution code, so from one starting partition their trajectories
+// must agree bit for bit — for every topology, scan direction, cluster width
+// and p, and under the anchor / nonpositive-filter / move-budget options.
+// The fold emits one NeighborDelta per changed (query, bucket), whichever
+// engine or worker count produced the counts, and both engines patch each
+// vertex's push accumulator in ascending (query, bucket) order, so the
+// accumulator floats match even where B^n is not dyadic (p = 0.3).
 struct CrossEngineCase {
   const char* name;
   bool grouped;
@@ -218,6 +218,10 @@ void ExpectBitIdenticalTrajectories(const CrossEngineCase& c) {
       c.anchor_penalty != 0.0 ? &anchor : nullptr;
 
   uint64_t total_moved = 0;
+  // The threaded refiner folds a round's moves at the end of that round, BSP
+  // at the next round's superstep 1, so BSP's record count of iteration i
+  // is the threaded count of iteration i − 1 (none before the first fold).
+  uint64_t threaded_records = 0;
   for (uint64_t iter = 0; iter < 15; ++iter) {
     const IterationStats a = threaded.RunIteration(
         topo, &p_threaded, 21, iter, nullptr, anchor_ptr, c.anchor_penalty);
@@ -225,6 +229,8 @@ void ExpectBitIdenticalTrajectories(const CrossEngineCase& c) {
         topo, &p_bsp, 21, iter, nullptr, anchor_ptr, c.anchor_penalty);
     ASSERT_EQ(p_threaded.assignment(), p_bsp.assignment())
         << "iteration " << iter;
+    EXPECT_EQ(threaded_records, b.num_delta_records) << "iteration " << iter;
+    threaded_records = a.num_delta_records;
     EXPECT_EQ(a.num_proposals, b.num_proposals) << "iteration " << iter;
     EXPECT_EQ(a.num_draws, b.num_draws) << "iteration " << iter;
     EXPECT_EQ(a.num_moved, b.num_moved) << "iteration " << iter;
@@ -253,6 +259,14 @@ TEST(BspRefiner, TrajectoryBitIdenticalToThreadedRefiner) {
                       RefinerOptions::SweepMode::kPush, 1},
       CrossEngineCase{"grouped_push_w3", true,
                       RefinerOptions::SweepMode::kPush, 3},
+      CrossEngineCase{"fullk_push_w1_p03", false,
+                      RefinerOptions::SweepMode::kPush, 1, /*p=*/0.3},
+      CrossEngineCase{"fullk_push_w3_p03", false,
+                      RefinerOptions::SweepMode::kPush, 3, /*p=*/0.3},
+      CrossEngineCase{"grouped_push_w1_p03", true,
+                      RefinerOptions::SweepMode::kPush, 1, /*p=*/0.3},
+      CrossEngineCase{"grouped_push_w3_p03", true,
+                      RefinerOptions::SweepMode::kPush, 3, /*p=*/0.3},
       CrossEngineCase{"anchored_budgeted_p03", false,
                       RefinerOptions::SweepMode::kPull, 3,
                       /*p=*/0.3, /*anchor_penalty=*/0.05,

@@ -129,6 +129,19 @@ TEST(Web, HostLocalityDominates) {
   EXPECT_GT(g.num_edges(), 3000u);
 }
 
+TEST(Web, EveryPageIsOneDataVertex) {
+  // Host sizes are floored at 2 before the clamp to the remaining pages, so
+  // the last host may hold a single page; it must never overrun the page
+  // range (seed 3 drew a 2-page host for the last page).
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    WebGraphConfig config;
+    config.num_pages = 500;
+    config.seed = seed;
+    EXPECT_EQ(GenerateWebGraph(config).num_data(), config.num_pages)
+        << "seed " << seed;
+  }
+}
+
 TEST(Web, DeterministicPerSeed) {
   WebGraphConfig config;
   config.num_pages = 800;

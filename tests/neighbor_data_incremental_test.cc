@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/move_broker.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
@@ -146,12 +147,51 @@ TEST(NeighborDataIncremental, SingleMoveSplicesInPlace) {
     const BucketId from = assignment[v];
     const BucketId to = static_cast<BucketId>((from + 1 + step % (k - 1)) % k);
     if (to == from) continue;
-    incremental.ApplyMove(g, v, from, to);
+    const VertexMove move{v, from, to};
+    incremental.ApplyMoves(g, {&move, 1});
     assignment[v] = to;
   }
   QueryNeighborData fresh;
   fresh.Build(g, assignment);
   ExpectSameContent(incremental, fresh, "after 200 single moves");
+}
+
+TEST(NeighborDataIncremental, SignedDeltasFromEmptyMatchFreshBuild) {
+  // The BSP cold start: every pin announced as +1 into empty replicas, here
+  // split into unit messages, with cancelling ±2 pairs and duplicate
+  // (query, bucket) runs mixed in. The fold must reproduce a counting
+  // build, emit one 0 → count record per occupied (query, bucket), and
+  // report every query that received a message as touched.
+  const BipartiteGraph g = TestGraph(17);
+  const BucketId k = 8;
+  const std::vector<BucketId> assignment =
+      Partition::Random(g.num_data(), k, 5).assignment();
+  std::vector<BucketDeltaMsg> msgs;
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    for (VertexId v : g.QueryNeighbors(q)) {
+      msgs.push_back({q, assignment[v], 1});
+    }
+    msgs.push_back({q, static_cast<BucketId>(q % k), 2});
+    msgs.push_back({q, static_cast<BucketId>(q % k), -2});
+  }
+  ThreadPool pool(4);
+  QueryNeighborData folded;
+  folded.Clear(g.num_queries());
+  std::vector<VertexId> touched;
+  std::vector<NeighborDelta> records;
+  folded.ApplyDeltas(msgs, &pool, &touched, &records);
+
+  QueryNeighborData fresh;
+  fresh.Build(g, assignment);
+  ExpectSameContent(folded, fresh, "cold fold");
+  EXPECT_EQ(touched.size(), static_cast<size_t>(g.num_queries()));
+  std::vector<NeighborDelta> expected;
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    for (const BucketCount& e : fresh.Entries(q)) {
+      expected.push_back({q, e.bucket, 0, e.count});
+    }
+  }
+  EXPECT_EQ(records, expected);
 }
 
 // ----------------------------------------------------- executed move lists

@@ -165,7 +165,8 @@ TEST(NeighborData, ApplyMoveKeepsCountsConsistent) {
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
 
-  ndata.ApplyMove(g, /*v=*/3, /*from=*/1, /*to=*/0);
+  const VertexMove move{/*v=*/3, /*from=*/1, /*to=*/0};
+  ndata.ApplyMoves(g, {&move, 1});
   assignment[3] = 0;
   QueryNeighborData fresh;
   fresh.Build(g, assignment);
@@ -182,10 +183,12 @@ TEST(NeighborData, ApplyMoveCreatingAndEmptyingBuckets) {
   std::vector<BucketId> assignment = {0, 0, 0, 0, 0, 0};
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
-  ndata.ApplyMove(g, 5, 0, 2);  // bucket 2 appears for q0 and q2
+  const VertexMove out{5, 0, 2};
+  ndata.ApplyMoves(g, {&out, 1});  // bucket 2 appears for q0 and q2
   EXPECT_EQ(ndata.CountFor(0, 2), 1u);
   EXPECT_EQ(ndata.CountFor(2, 2), 1u);
-  ndata.ApplyMove(g, 5, 2, 0);  // and disappears again
+  const VertexMove back{5, 2, 0};
+  ndata.ApplyMoves(g, {&back, 1});  // and disappears again
   EXPECT_EQ(ndata.CountFor(0, 2), 0u);
   EXPECT_EQ(ndata.Fanout(0), 1u);
 }
@@ -298,8 +301,8 @@ TEST_P(ProposalOracle, MatchesFromScratchObjectiveDelta) {
   uint64_t checked = 0;
   for (const MoveTopology* topo : {&full, &grouped}) {
     for (const bool push : {false, true}) {
-      const ProposalSource<QueryNeighborData> source{
-          gain, g, partition, ndata, push ? &sweep : nullptr};
+      const ProposalSource source{gain, g, partition, ndata,
+                                  push ? &sweep : nullptr};
       for (const bool anchored : {false, true}) {
         for (const bool nonpositive : {true, false}) {
           const ProposalRule rule{*topo, anchored ? &anchor : nullptr,
