@@ -1,12 +1,14 @@
 // google-benchmark microbenches for the hot kernels: neighbor-data build,
-// move-gain computation, one refinement iteration, generator throughput,
-// and the FM pass of the multilevel baseline.
+// affinity-accumulator build (windowed and full-k), move-gain computation,
+// one refinement iteration, generator throughput, and the FM pass of the
+// multilevel baseline.
 #include <benchmark/benchmark.h>
 
 #include <span>
 #include <vector>
 
 #include "baseline/fm_refiner.h"
+#include "core/move_topology.h"
 #include "core/partition.h"
 #include "core/refiner.h"
 #include "graph/gen_social.h"
@@ -146,6 +148,45 @@ void BM_BestTargetPushGroupedScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BestTargetPushGroupedScan)->Arg(8)->Arg(64)->Arg(512);
+
+// Full accumulator build at the final recursion level — sibling pairs
+// {2i, 2i+1} — keeping only each vertex's pair window (what the threaded
+// refiner builds on a grouped round), against its unwindowed full-k twin
+// over the same neighbor data.
+void SweepBuildBench(benchmark::State& state, bool grouped) {
+  const BucketId k = static_cast<BucketId>(state.range(0));
+  const BipartiteGraph graph = MakeGraph(20000, 16);
+  const auto partition = Partition::Random(graph.num_data(), k, 1);
+  QueryNeighborData ndata;
+  ndata.Build(graph, partition.assignment());
+  const GainComputer gain(0.5,
+                          static_cast<uint32_t>(graph.MaxQueryDegree()));
+  std::vector<std::vector<BucketId>> pairs;
+  for (BucketId b = 0; b + 1 < k; b += 2) pairs.push_back({b, b + 1});
+  const MoveTopology topo =
+      grouped ? MoveTopology::Grouped(k, graph.num_data(), 0.05, pairs)
+              : MoveTopology::FullK(k, graph.num_data(), 0.05);
+  const std::vector<BucketWindow> windows =
+      topo.AccumulatorWindows(partition.assignment());
+  AffinitySweep sweep;
+  for (auto _ : state) {
+    sweep.Build(graph, ndata, gain.pow_table(), nullptr, windows);
+    benchmark::DoNotOptimize(sweep.TotalEntries());
+  }
+  state.counters["entries"] = static_cast<double>(sweep.TotalEntries());
+}
+
+void BM_AffinitySweepBuildGrouped(benchmark::State& state) {
+  SweepBuildBench(state, /*grouped=*/true);
+}
+BENCHMARK(BM_AffinitySweepBuildGrouped)->Arg(8)->Arg(64)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AffinitySweepBuildFullK(benchmark::State& state) {
+  SweepBuildBench(state, /*grouped=*/false);
+}
+BENCHMARK(BM_AffinitySweepBuildFullK)->Arg(8)->Arg(64)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GroupedPullSiblingScan(benchmark::State& state) {
   // The pull reference the grouped push scan replaces: per-sibling MoveGain

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "objective/affinity_sweep.h"
 #include "objective/neighbor_data.h"
 
 namespace shp {
@@ -38,13 +39,33 @@ struct MoveTopology {
 
   /// Half-open bucket-id window [begin, end) spanning group g's members —
   /// the slice of a sorted sparse accumulator that the group-restricted
-  /// push scan reads. Re-slicing this window is all a recursion-level
-  /// change costs the accumulator replicas; they are never rebuilt for a
-  /// topology change (the entries themselves are topology-free).
+  /// push scan reads. The BSP engine's topology-free accumulator replicas
+  /// re-slice it on a recursion-level change instead of being rebuilt; the
+  /// threaded refiner's accumulators hold only this window per vertex
+  /// (AccumulatorWindows) and are rebuilt when the topology changes.
   std::pair<BucketId, BucketId> GroupWindow(int32_t g) const {
     const std::vector<BucketId>& members =
         group_children[static_cast<size_t>(g)];
     return {members.front(), static_cast<BucketId>(members.back() + 1)};
+  }
+
+  /// Per-vertex accumulator windows under this topology (the Build input of
+  /// AffinitySweep): none on full-k (every bucket is a candidate); on a
+  /// grouped topology the GroupWindow of v's bucket, or the empty window
+  /// when that bucket is not refined. Moves stay inside a group, so the
+  /// windows hold until the topology or the assignment is replaced.
+  std::vector<BucketWindow> AccumulatorWindows(
+      const std::vector<BucketId>& assignment) const {
+    std::vector<BucketWindow> windows;
+    if (full_k) return windows;
+    windows.resize(assignment.size());
+    for (size_t v = 0; v < assignment.size(); ++v) {
+      const int32_t g = group_of_bucket[static_cast<size_t>(assignment[v])];
+      if (g < 0) continue;
+      const auto [begin, end] = GroupWindow(g);
+      windows[v] = {begin, end};
+    }
+    return windows;
   }
 
   /// Topology for direct k-way partitioning of n vertices.

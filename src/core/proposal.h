@@ -115,8 +115,9 @@ inline Proposal ComputeProposal(const ProposalSource& source,
         topo.group_children[static_cast<size_t>(group)];
     if (sweep != nullptr) {
       // Group-restricted push scan over the accumulator window spanning
-      // the siblings — a re-slice of the same topology-free accumulators
-      // the full-k scan reads, so recursion windows never rebuild them.
+      // the siblings. The threaded refiner's accumulators hold only this
+      // window (the slice is then the whole list); the BSP replicas are
+      // topology-free and the slice skips the other groups' buckets.
       const auto [wbegin, wend] = topo.GroupWindow(group);
       const auto window = sweep->EntriesInWindow(v, wbegin, wend);
       if (work != nullptr) *work += window.size() + children.size();
@@ -211,6 +212,10 @@ class ProposalContext {
   /// anchor. Capacity is a broker concern; proposals do not depend on it.
   bool Matches(const MoveTopology& topo, const std::vector<BucketId>* anchor,
                double anchor_penalty) const;
+
+  /// The topology half of Matches: true iff the last Snapshot was taken
+  /// under an identical move topology (same groups; capacity ignored).
+  bool MatchesTopology(const MoveTopology& topo) const;
 
   void Snapshot(const MoveTopology& topo, const std::vector<BucketId>* anchor,
                 double anchor_penalty);

@@ -31,8 +31,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   // base (the accumulator-derived base term divides by B); kAuto prefers
   // push whenever available, and an explicit kPush request degrades to pull
   // in the p = 1, t = 1 limit. Grouped recursion windows run the same push
-  // scan over the group-restricted accumulator view — the accumulators are
-  // topology-free, so a recursion-level change re-slices, never rebuilds.
+  // scan over accumulators that hold only each vertex's group window.
   const bool push =
       options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
       gain_.SupportsPush();
@@ -52,10 +51,14 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     ++num_full_rebuilds_;
     stats.full_rebuild = true;
   }
+  // The accumulators keep only the windows of the topology they were built
+  // under — the one the proposal context last snapshotted (every build is a
+  // recompute-all round) — so a new topology on an unchanged assignment
+  // re-windows them.
+  if (!proposal_context_.MatchesTopology(topo)) sweep_valid_ = false;
   if (push && !sweep_valid_) {
-    // Full query-major pass: stream the arena once, scattering each query's
-    // per-bucket contributions to all its data neighbors.
-    sweep_.Build(graph_, ndata_, gain_.pow_table(), pool);
+    sweep_.Build(graph_, ndata_, gain_.pow_table(), pool,
+                 topo.AccumulatorWindows(partition->assignment()));
     sweep_valid_ = true;
     ++num_sweep_builds_;
   }
@@ -179,10 +182,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   CheckCachedProposals(source, rule, explore ? &explore_target_ : nullptr,
                        targets_, gains_, pool);
   if (push) {
-    // The patched accumulators must match a fresh query-major build up to
-    // summation order.
+    // The patched accumulators must match a fresh build under the same
+    // windows up to summation order.
     AffinitySweep fresh;
-    fresh.Build(graph_, ndata_, gain_.pow_table(), pool);
+    fresh.Build(graph_, ndata_, gain_.pow_table(), pool,
+                topo.AccumulatorWindows(partition->assignment()));
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched affinity accumulators diverged from a fresh build";
   }

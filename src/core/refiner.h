@@ -35,10 +35,15 @@
 // Gains honor the MoveTopology constraint: direct k-way search uses the
 // sparse-affinity best-target scan (k-independent per-vertex cost); grouped
 // recursion either evaluates each sibling candidate directly against the
-// neighbor data (pull, O(r · deg(v))) or scans the group-restricted window
-// of the same push accumulators (GainComputer::FindBestTargetPushGrouped) —
-// the accumulators are topology-free, so recursion levels re-slice the
-// active window instead of rebuilding state.
+// neighbor data (pull, O(r · deg(v))) or scans the push accumulators over
+// the vertex's group window (GainComputer::FindBestTargetPushGrouped). On a
+// grouped round the accumulators are built with per-vertex windows
+// (MoveTopology::AccumulatorWindows): each vertex keeps only the buckets of
+// its group window, and none when its bucket is not refined, so a level
+// never builds or patches entries it cannot read. The windows depend on the
+// topology, so a topology the cached proposals were not computed under
+// rebuilds the accumulators even on an unchanged assignment. (The BSP
+// engine's replicas stay topology-free; engine/shp_bsp.h.)
 #pragma once
 
 #include <cstdint>
@@ -218,8 +223,9 @@ class Refiner : public RefinerInterface {
   /// incremental steady state holds this at 1 per warm start).
   uint64_t num_full_rebuilds() const { return num_full_rebuilds_; }
 
-  /// Full query-major accumulator builds performed so far (push mode; an
-  /// incremental steady state holds this at 1 per warm start).
+  /// Full accumulator builds performed so far (push mode; an incremental
+  /// steady state holds this at 1 per warm start, and each topology switch
+  /// adds one).
   uint64_t num_sweep_builds() const { return num_sweep_builds_; }
 
  private:

@@ -68,26 +68,18 @@ void EncodeGroupedDeltas(std::span<const NeighborDelta> records,
     AppendVarint(out, static_cast<uint64_t>(j - i));
     prev_q = q;
     BucketId prev_bucket = 0;
-    uint32_t prev_new = 0;
-    bool have_prev = false;
-    for (; i < j; ++i) {
-      const NeighborDelta& rec = records[i];
-      SHP_DCHECK(rec.bucket >= prev_bucket)
-          << "grouped codec requires non-decreasing buckets within a group";
+    for (size_t r = i; r < j; ++r) {
+      const NeighborDelta& rec = records[r];
+      SHP_DCHECK(r == i ? rec.bucket >= 0 : rec.bucket > prev_bucket)
+          << "grouped codec requires strictly ascending buckets within a "
+             "group";
       AppendVarint(out, static_cast<uint64_t>(rec.bucket - prev_bucket));
-      // A same-bucket successor (the fold emits none, but chained streams
-      // are legal) usually starts where the previous record ended, so the
-      // reference makes its old-delta 0.
-      const uint32_t ref =
-          (have_prev && rec.bucket == prev_bucket) ? prev_new : 0;
-      AppendZigZag(out, static_cast<int64_t>(rec.old_count) -
-                            static_cast<int64_t>(ref));
+      AppendZigZag(out, static_cast<int64_t>(rec.old_count));
       AppendZigZag(out, static_cast<int64_t>(rec.new_count) -
                             static_cast<int64_t>(rec.old_count));
       prev_bucket = rec.bucket;
-      prev_new = rec.new_count;
-      have_prev = true;
     }
+    i = j;
   }
 }
 
@@ -109,8 +101,6 @@ bool DecodeGroupedDeltas(std::span<const uint8_t> bytes,
     if (!FitsId(q)) return false;
     prev_q = q;  // zero-count groups still advance the qid chain
     uint64_t prev_bucket = 0;
-    int64_t prev_new = 0;
-    bool have_prev = false;
     for (uint64_t r = 0; r < count; ++r) {
       uint64_t b_delta = 0;
       uint64_t old_zz = 0;
@@ -118,11 +108,12 @@ bool DecodeGroupedDeltas(std::span<const uint8_t> bytes,
       if (!ReadVarint(&p, end, &b_delta)) return false;
       if (!ReadVarint(&p, end, &old_zz)) return false;
       if (!ReadVarint(&p, end, &new_zz)) return false;
+      // Buckets strictly ascend within a group: a repeated bucket is
+      // malformed (the fold emits one record per changed (q, bucket)).
+      if (r > 0 && b_delta == 0) return false;
       const uint64_t bucket = prev_bucket + b_delta;
       if (!FitsId(bucket)) return false;
-      const int64_t ref =
-          (have_prev && bucket == prev_bucket && b_delta == 0) ? prev_new : 0;
-      const int64_t old_count = ref + ZigZagDecode(old_zz);
+      const int64_t old_count = ZigZagDecode(old_zz);
       const int64_t new_count = old_count + ZigZagDecode(new_zz);
       if (old_count < 0 || old_count > std::numeric_limits<uint32_t>::max())
         return false;
@@ -133,8 +124,6 @@ bool DecodeGroupedDeltas(std::span<const uint8_t> bytes,
                                    static_cast<uint32_t>(old_count),
                                    static_cast<uint32_t>(new_count)});
       prev_bucket = bucket;
-      prev_new = new_count;
-      have_prev = true;
     }
   }
   return true;

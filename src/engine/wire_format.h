@@ -6,23 +6,22 @@
 // ascend across groups — one per changed (q, bucket), with small counts and
 // count changes (neighbor_data.h). The raw struct spends 16 bytes per record
 // on fields whose information content is a few bits. The grouped codec
-// exploits these regularities; it also accepts repeated same-(q, bucket)
-// records, encoding a successor's old_count against the previous new_count:
+// exploits these regularities:
 //
 //   stream  := group*
 //   group   := varint(q − prev_group_q)  varint(record_count)  record*
 //   record  := varint(bucket − prev_bucket_in_group)
-//              zigzag(old_count − ref)       ref = previous record's
-//                                            new_count when it shares the
-//                                            bucket, else 0
+//              zigzag(old_count)
 //              zigzag(new_count − old_count) (small change ⇒ one byte)
 //
 // with prev_group_q and prev_bucket_in_group starting at 0. Steady state this
-// is ~3 bytes per record vs 16 raw. Encoding requires only the grouping
-// invariant (q ascending, bucket non-decreasing within a group — DCHECKed);
-// decoding additionally tolerates zero-count groups (skipped, but they still
-// advance the qid chain) and full-width 5-byte varints, so hand-built streams
-// round-trip too. The codec is lossless: DecodeGroupedDeltas reproduces the
+// is ~3 bytes per record vs 16 raw. Encoding requires the fold's grouping
+// invariant (q ascending, bucket strictly ascending within a group —
+// DCHECKed). The decoder rejects a repeated bucket within a group (a zero
+// bucket delta after the group's first record) as malformed; it tolerates
+// zero-count groups (skipped, but they still advance the qid chain) and
+// full-width 5-byte varints, so hand-built streams round-trip too. The
+// codec is lossless: DecodeGroupedDeltas reproduces the
 // input records bit-identically, and GroupedWireBytes proves it per buffer in
 // Debug builds.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -84,10 +85,11 @@ void ApplyToVec(std::vector<AffinityEntry>* vec, BucketId b, double add,
 
 void AffinitySweep::Build(const BipartiteGraph& graph,
                           const QueryNeighborData& ndata, const PowTable& pow,
-                          ThreadPool* pool) {
+                          ThreadPool* pool, std::vector<BucketWindow> windows) {
   const VertexId n = graph.num_data();
-  const VertexId nq = graph.num_queries();
   if (pool == nullptr) pool = &GlobalThreadPool();
+  SHP_CHECK(windows.empty() || windows.size() == static_cast<size_t>(n));
+  windows_ = std::move(windows);
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
@@ -98,56 +100,91 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, n);
-  // Shard boundaries weighted by Σ-degree, not vertex count: a shard's merge
-  // cost is the Σ-degree of its range, and power-law hubs make uniform
-  // ranges straggle.
+  // Shard boundaries weighted by Σ-degree, not vertex count: a shard's cost
+  // is the Σ-degree of its range, and power-law hubs make uniform ranges
+  // straggle.
   FillDegreePrefix(graph, n, &scratch_.deg_prefix);
+  std::vector<VertexId> bound(shards + 1);
+  for (size_t s = 0; s <= shards; ++s) {
+    bound[s] = DegShardBegin(scratch_.deg_prefix, n, shards, s);
+  }
 
-  // Query-major streaming pass, vertex-sharded: every shard streams the
-  // whole arena sequentially (it is small — Σ fanout entries — and shared
-  // read-only) but accumulates only for the vertices it owns, so no
-  // synchronization is needed and each vertex's contributions arrive in
-  // ascending query order (deterministic for any shard count).
-  std::vector<std::vector<AffinityEntry>> lists(n);
+  // Vertex-major pass: each shard owns a contiguous vertex range and writes
+  // its accumulators, in vertex order with slack, into its own run (loc_
+  // offsets relative to the run). Every vertex sums its contributions in
+  // ascending query order — the same float sequence for any shard count.
+  std::vector<std::vector<AffinityEntry>> runs(shards);
+  std::vector<uint64_t> live(shards, 0);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    std::vector<std::pair<BucketId, double>> contrib;
+    struct Sum {
+      uint32_t support = 0;
+      double affinity = 0.0;
+    };
+    std::vector<Sum> dense;  // indexed by bucket; all-zero between vertices
+    std::vector<BucketId> touched;
     for (size_t s = sbegin; s < send; ++s) {
-      const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
-      const VertexId vend =
-          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      if (vbegin == vend) continue;
-      for (VertexId q = 0; q < nq; ++q) {
-        const auto nbrs = graph.QueryNeighbors(q);
-        const auto lo = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
-        if (lo == nbrs.end() || *lo >= vend) continue;
-        const auto hi = std::lower_bound(lo, nbrs.end(), vend);
-        // One contribution per occupied bucket, shared by every owned
-        // neighbor of q (this is the work the pull scan recomputes per
-        // vertex).
-        contrib.clear();
-        for (const BucketCount& e : ndata.Entries(q)) {
-          contrib.emplace_back(e.bucket, 1.0 - pow.Pow(e.count));
-        }
-        for (auto it = lo; it != hi; ++it) {
-          std::vector<AffinityEntry>& list = lists[*it];
-          // Both sides are bucket-ascending: single forward merge.
-          size_t i = 0;
-          for (const auto& [bucket, c] : contrib) {
-            while (i < list.size() && list[i].bucket < bucket) ++i;
-            if (i < list.size() && list[i].bucket == bucket) {
-              list[i].support += 1;
-              list[i].affinity += c;
-            } else {
-              list.insert(list.begin() + i, {bucket, 1, c});
+      std::vector<AffinityEntry>& run = runs[s];
+      for (VertexId v = bound[s]; v < bound[s + 1]; ++v) {
+        const BucketWindow window =
+            windows_.empty()
+                ? BucketWindow{0, std::numeric_limits<BucketId>::max()}
+                : windows_[v];
+        if (window.begin < window.end) {
+          for (const VertexId q : graph.DataNeighbors(v)) {
+            const auto entries = ndata.Entries(q);
+            auto it = entries.begin();
+            if (window.begin > 0) {
+              it = std::lower_bound(it, entries.end(), window.begin,
+                                    [](const BucketCount& e, BucketId b) {
+                                      return e.bucket < b;
+                                    });
             }
-            ++i;
+            for (; it != entries.end() && it->bucket < window.end; ++it) {
+              const size_t b = static_cast<size_t>(it->bucket);
+              if (b >= dense.size()) dense.resize(b + 1);
+              Sum& sum = dense[b];
+              if (sum.support == 0) touched.push_back(it->bucket);
+              ++sum.support;
+              sum.affinity += 1.0 - pow.Pow(it->count);
+            }
           }
+          std::sort(touched.begin(), touched.end());
         }
+        Loc& loc = loc_[v];
+        loc.begin = run.size();
+        loc.size = static_cast<uint32_t>(touched.size());
+        loc.cap = loc.size + kSlackPad;
+        for (const BucketId b : touched) {
+          Sum& sum = dense[static_cast<size_t>(b)];
+          run.push_back({b, sum.support, sum.affinity});
+          sum = Sum{};
+        }
+        run.resize(run.size() + kSlackPad);
+        live[s] += touched.size();
+        touched.clear();
       }
     }
   });
 
-  LayoutFromLists(lists, pool);
+  // Concatenate the runs in shard (= vertex) order: one run moves in as the
+  // arena; several are copied in parallel and their offsets rebased.
+  std::vector<uint64_t> base(shards, 0);
+  uint64_t total = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    base[s] = total;
+    total += runs[s].size();
+    live_entries_ += live[s];
+  }
+  if (shards == 1) {
+    entries_ = std::move(runs[0]);
+    return;
+  }
+  entries_.resize(total);
+  pool->ParallelForEach(shards, [&](size_t s) {
+    std::copy(runs[s].begin(), runs[s].end(),
+              entries_.begin() + static_cast<ptrdiff_t>(base[s]));
+    for (VertexId v = bound[s]; v < bound[s + 1]; ++v) loc_[v].begin += base[s];
+  });
 }
 
 void AffinitySweep::LayoutFromLists(
@@ -181,6 +218,7 @@ std::vector<uint64_t> AffinitySweep::BuildSharded(
   if (pool == nullptr) pool = &GlobalThreadPool();
   SHP_CHECK_GT(num_shards, 0);
   SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(n));
+  windows_.clear();
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
@@ -429,6 +467,7 @@ std::vector<uint64_t> AffinitySweep::ApplyDeltasSharded(
     const Task& task = tasks[t];
     if (task.vbegin == task.vend) return;
     ShardOverflow& ovf = overflow[t];
+    const BucketWindow* windows = windows_.empty() ? nullptr : windows_.data();
     int64_t delta = 0;
     uint64_t ops = 0;
     for (const NeighborDelta& rec : records[static_cast<size_t>(task.shard)]) {
@@ -441,6 +480,7 @@ std::vector<uint64_t> AffinitySweep::ApplyDeltasSharded(
       const auto hi = std::lower_bound(lo, nbrs.end(), task.vend);
       for (auto it = lo; it != hi; ++it) {
         if (owner_of != nullptr && (*owner_of)[*it] != task.shard) continue;
+        if (windows != nullptr && !windows[*it].Contains(rec.bucket)) continue;
         PatchEntry(*it, rec.bucket, add, sup, &ovf, &delta);
         ++ops;
       }

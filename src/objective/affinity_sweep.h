@@ -1,6 +1,6 @@
 // Query-major affinity sweep: per-vertex sparse affinity accumulators for
-// the superstep-2 gain scan, maintained by streaming the neighbor-data arena
-// (full pass) or by folding in ApplyMoves delta records (steady state).
+// the superstep-2 gain scan, built from the neighbor data (full pass) and
+// then maintained by folding in ApplyMoves delta records (steady state).
 //
 // The pull-based gain scan (GainComputer::FindBestTarget) gathers, for every
 // recomputed vertex v, the entry lists of all its adjacent queries — a
@@ -13,12 +13,24 @@
 //   affinity_v[b] = Σ_{q ∈ N(v), n_b(q) > 0} (1 − B^{n_b(q)})
 //   support_v[b]  = #{q ∈ N(v) : n_b(q) > 0}
 //
-// Build streams the neighbor-data arena once in query order (sequential
-// reads; each query's per-bucket contribution is computed once and scattered
-// to all its data neighbors, instead of being recomputed per vertex). In
-// steady state, ApplyDeltas consumes the (q, bucket, old, new) records that
-// QueryNeighborData::ApplyMoves emits and patches only the accumulators of
-// vertices adjacent to a changed query — no rescan of untouched queries.
+// Build makes one vertex-major pass: each vertex sums its adjacent queries'
+// per-bucket contributions in ascending query order into a dense per-worker
+// scratch and writes the touched buckets, sorted, straight into its worker's
+// run of the arena. In steady state, ApplyDeltas consumes the (q, bucket,
+// old, new) records that QueryNeighborData::ApplyMoves emits and patches
+// only the accumulators of vertices adjacent to a changed query — no rescan
+// of untouched queries.
+//
+// Bucket windows. Build optionally takes one half-open bucket window per
+// vertex and keeps only the entries inside it; ApplyDeltas then skips every
+// patch outside the patched vertex's window. The threaded refiner passes
+// each vertex's recursion group window (the only buckets a grouped round
+// can read or move it to; empty when its bucket is not refined) and no
+// windows on full-k rounds, so a level stops building and patching entries
+// it can never read. Windowed entries are bit-identical to the same entries
+// of an unwindowed build (same summation order). The BSP engine's replicas
+// (BuildSharded) are always unwindowed — topology-free — so its delta
+// exchange patches them across recursion-level advances.
 //
 // The integer support count makes entry lifetime exact: an accumulator entry
 // exists iff some adjacent query occupies the bucket, and dropping the entry
@@ -63,20 +75,33 @@ struct AffinityEntry {
   bool operator==(const AffinityEntry&) const = default;
 };
 
+/// Half-open bucket-id range [begin, end) one vertex's accumulator keeps.
+/// The default {0, 0} is empty: the vertex keeps nothing.
+struct BucketWindow {
+  BucketId begin = 0;
+  BucketId end = 0;
+
+  bool Contains(BucketId b) const { return b >= begin && b < end; }
+  bool operator==(const BucketWindow&) const = default;
+};
+
 class AffinitySweep {
  public:
-  /// Full query-major pass: streams ndata's arena once in query order and
-  /// scatters each query's per-bucket contributions to all its data
-  /// neighbors. Vertices are range-sharded across workers; each shard
-  /// streams the (cache-resident) arena sequentially and keeps only its own
-  /// vertices' accumulators.
+  /// Full pass, one per vertex: sums v's adjacent queries' contributions in
+  /// ascending query order (the order every patch assumes) and keeps the
+  /// buckets inside `windows[v]` — all buckets when `windows` is empty,
+  /// otherwise it holds one window per data vertex and is kept for
+  /// ApplyDeltas. Vertices are Σ-degree range-sharded across workers, each
+  /// writing its own contiguous run of the arena.
   void Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
-             const PowTable& pow, ThreadPool* pool = nullptr);
+             const PowTable& pow, ThreadPool* pool = nullptr,
+             std::vector<BucketWindow> windows = {});
 
   /// Steady-state patch: folds the superstep-1 records (ascending (q,
   /// bucket), as QueryNeighborData::ApplyDeltas emits them) into the
   /// affected accumulators. O(Σ_records deg(q)) — proportional to the move
-  /// blast radius, with no rescan of untouched queries. `pow` must match
+  /// blast radius, with no rescan of untouched queries. A record outside a
+  /// neighbor's build window is skipped for that neighbor. `pow` must match
   /// Build's. The one-shard case of ApplyDeltasSharded.
   void ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
@@ -92,9 +117,10 @@ class AffinitySweep {
   /// sweep bins each query's neighbors by owner shard (contiguous ascending
   /// query ranges per host worker), and a second merges each shard's binned
   /// queries — in ascending query order, so accumulator floats are identical
-  /// to Build's — into its own vertices' lists. Returns per-shard simulated
-  /// work units (accumulator merge operations; the binning pass is host
-  /// bookkeeping and is not charged).
+  /// to Build's — into its own vertices' lists. Always unwindowed: every
+  /// occupied bucket is kept. Returns per-shard simulated work units
+  /// (accumulator merge operations; the binning pass is host bookkeeping
+  /// and is not charged).
   std::vector<uint64_t> BuildSharded(const BipartiteGraph& graph,
                                      const QueryNeighborData& ndata,
                                      const PowTable& pow,
@@ -126,8 +152,7 @@ class AffinitySweep {
 
   /// Entries of v with bucket in [begin, end) — the group-restricted view
   /// used by the recursion push scan. A pure re-slice of the arena (two
-  /// binary searches over v's sorted entries); changing the active window
-  /// never rebuilds or copies accumulator state. O(log entries).
+  /// binary searches over v's sorted entries). O(log entries).
   std::span<const AffinityEntry> EntriesInWindow(VertexId v, BucketId begin,
                                                  BucketId end) const {
     const auto all = Entries(v);
@@ -143,6 +168,9 @@ class AffinitySweep {
   double AffinityFor(VertexId v, BucketId b) const;
 
   VertexId num_vertices() const { return static_cast<VertexId>(loc_.size()); }
+
+  /// The per-vertex windows of the last Build (empty: unwindowed).
+  const std::vector<BucketWindow>& windows() const { return windows_; }
 
   /// Total live accumulator entries Σ_v |occupied buckets of N(v)|.
   uint64_t TotalEntries() const { return live_entries_; }
@@ -163,7 +191,8 @@ class AffinitySweep {
   /// volume; public for tests and memory-pressure callers.
   void Compact();
 
-  /// Tolerance comparison against another sweep (typically a fresh Build):
+  /// Tolerance comparison against another sweep (typically a fresh Build
+  /// under the same windows):
   /// identical buckets and support everywhere, affinities equal within
   /// |a − b| ≤ atol + rtol · max(|a|, |b|). The debug cross-check the
   /// refiner runs per iteration.
@@ -193,8 +222,8 @@ class AffinitySweep {
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
   };
 
-  /// Shared Build/BuildSharded tail: lays the per-vertex lists out into the
-  /// arena with fresh slack and parallel-copies them in.
+  /// BuildSharded tail: lays the per-vertex lists out into the arena with
+  /// fresh slack and parallel-copies them in.
   void LayoutFromLists(const std::vector<std::vector<AffinityEntry>>& lists,
                        ThreadPool* pool);
 
@@ -212,6 +241,7 @@ class AffinitySweep {
 
   std::vector<AffinityEntry> entries_;  ///< flat arena (accumulators + slack)
   std::vector<Loc> loc_;                ///< per-vertex accumulator location
+  std::vector<BucketWindow> windows_;   ///< per-vertex window (empty: none)
   uint64_t live_entries_ = 0;           ///< Σ_v loc_[v].size
   uint64_t garbage_ = 0;                ///< arena slots abandoned by relocation
   uint64_t last_build_adjacency_reads_ = 0;  ///< see accessor

@@ -1,6 +1,7 @@
 // Query-major affinity sweep tests: NeighborDelta emission from ApplyMoves
 // (one record per changed (q, bucket) vs before/after CountFor diffs),
-// accumulator build/patch equivalence with a fresh query-major pass,
+// accumulator build/patch equivalence with a fresh build, windowed
+// accumulators against the window slice of an unwindowed build,
 // thread-count independence, pull-vs-push best-target consistency
 // (tie-breaks, restricted windows, empty-window fallback), and the
 // refiner-level pull-vs-push tolerance harness across all three MoveBroker
@@ -566,6 +567,157 @@ TEST(AffinitySweep, EntriesInWindowIsAPureSliceOfEntries) {
       ASSERT_EQ(window.size(), expected) << "v=" << v << " [" << wb << ","
                                          << we << ")";
       if (expected > 0) EXPECT_EQ(window.data(), first);
+    }
+  }
+}
+
+// ------------------------------------------------- windowed accumulators
+/// A random recursion-shaped grouped topology over k buckets and an
+/// assignment under it: [0, k) is cut into contiguous node ranges; about two
+/// thirds of the nodes of two or more buckets are refined with a sparse
+/// sibling set (the node's first bucket plus a random subset of the rest),
+/// the others stay unrefined. Each vertex sits on a random member of a
+/// random node — the node's first bucket when it is unrefined.
+struct GroupedFixture {
+  MoveTopology topo;
+  std::vector<BucketId> assignment;
+};
+
+GroupedFixture RandomGroupedFixture(BucketId k, VertexId n, uint64_t seed) {
+  std::vector<std::vector<BucketId>> groups;
+  std::vector<std::vector<BucketId>> node_members;  // refined or not
+  for (BucketId lo = 0; lo < k;) {
+    const BucketId span = static_cast<BucketId>(
+        1 + HashToBounded(seed, 1, static_cast<uint64_t>(lo),
+                          static_cast<uint64_t>(std::min<BucketId>(
+                              k - lo, std::max<BucketId>(2, k / 4)))));
+    std::vector<BucketId> members = {lo};
+    if (span >= 2 && HashToBounded(seed, 2, static_cast<uint64_t>(lo), 3) > 0) {
+      for (BucketId b = lo + 1; b < lo + span; ++b) {
+        if (HashToBounded(seed, 3, static_cast<uint64_t>(b), 2) == 0) {
+          members.push_back(b);
+        }
+      }
+      if (members.size() == 1) members.push_back(lo + span - 1);
+      groups.push_back(members);
+    }
+    node_members.push_back(std::move(members));
+    lo += span;
+  }
+  GroupedFixture out;
+  out.topo = MoveTopology::Grouped(k, n, 0.05, groups);
+  out.assignment.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto& members = node_members[static_cast<size_t>(
+        HashToBounded(seed, 4, v, node_members.size()))];
+    out.assignment[v] =
+        members[static_cast<size_t>(HashToBounded(seed, 5, v, members.size()))];
+  }
+  return out;
+}
+
+TEST(WindowedSweep, BuildIsTheWindowSliceOfAnUnwindowedBuild) {
+  // A windowed build keeps exactly the entries of each vertex's window, and
+  // sums them in the same ascending-query order as an unwindowed build —
+  // every kept entry is bit-identical (operator==), not merely close.
+  for (const BucketId k : {8, 64}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      PowerLawConfig config;
+      config.num_queries = 600;
+      config.num_data = 400;
+      config.target_edges = 3000;
+      config.seed = seed;
+      const BipartiteGraph g = GeneratePowerLaw(config);
+      const GroupedFixture fx = RandomGroupedFixture(k, g.num_data(), seed);
+      QueryNeighborData ndata;
+      ndata.Build(g, fx.assignment);
+      const PowTable pow(0.5, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+
+      AffinitySweep all;
+      all.Build(g, ndata, pow);
+      AffinitySweep windowed;
+      windowed.Build(g, ndata, pow, nullptr,
+                     fx.topo.AccumulatorWindows(fx.assignment));
+      ASSERT_EQ(windowed.windows().size(), g.num_data());
+      uint64_t kept = 0;
+      for (VertexId v = 0; v < g.num_data(); ++v) {
+        const BucketWindow w = windowed.windows()[v];
+        const auto slice = all.EntriesInWindow(v, w.begin, w.end);
+        const auto entries = windowed.Entries(v);
+        ASSERT_EQ(entries.size(), slice.size())
+            << "k=" << k << " seed=" << seed << " v=" << v;
+        for (size_t i = 0; i < entries.size(); ++i) {
+          ASSERT_EQ(entries[i], slice[i])
+              << "k=" << k << " seed=" << seed << " v=" << v << " i=" << i;
+        }
+        if (w.begin == w.end) {
+          EXPECT_TRUE(entries.empty()) << "unrefined vertex keeps nothing";
+        }
+        kept += entries.size();
+      }
+      EXPECT_EQ(windowed.TotalEntries(), kept);
+      EXPECT_LT(windowed.TotalEntries(), all.TotalEntries());
+    }
+  }
+}
+
+TEST(WindowedSweep, PatchesStayInsideTheWindowsAndMatchAFreshBuild) {
+  for (const BucketId k : {8, 64}) {
+    PowerLawConfig config;
+    config.num_queries = 600;
+    config.num_data = 400;
+    config.target_edges = 3000;
+    config.seed = 5;
+    const BipartiteGraph g = GeneratePowerLaw(config);
+    GroupedFixture fx = RandomGroupedFixture(k, g.num_data(), 7);
+    QueryNeighborData ndata;
+    ndata.Build(g, fx.assignment);
+    const PowTable pow(0.5, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, nullptr,
+                fx.topo.AccumulatorWindows(fx.assignment));
+    const std::vector<BucketWindow> windows = sweep.windows();
+
+    for (uint64_t round = 0; round < 12; ++round) {
+      // Random moves within each vertex's group (the only moves a grouped
+      // round makes); vertices on unrefined buckets stay put.
+      std::vector<VertexMove> moves;
+      std::vector<uint8_t> seen(g.num_data(), 0);
+      for (uint64_t i = 0; i < 40; ++i) {
+        const VertexId v =
+            static_cast<VertexId>(HashToBounded(11, round, i, g.num_data()));
+        const BucketId from = fx.assignment[v];
+        const int32_t group =
+            fx.topo.group_of_bucket[static_cast<size_t>(from)];
+        if (seen[v] || group < 0) continue;
+        seen[v] = 1;
+        const auto& siblings =
+            fx.topo.group_children[static_cast<size_t>(group)];
+        const BucketId to = siblings[static_cast<size_t>(
+            HashToBounded(13, round, i, siblings.size()))];
+        if (to == from) continue;
+        moves.push_back({v, from, to});
+        fx.assignment[v] = to;
+      }
+      std::vector<NeighborDelta> deltas;
+      ndata.ApplyMoves(g, moves, nullptr, nullptr, &deltas);
+      sweep.ApplyDeltas(g, deltas, pow);
+
+      ASSERT_EQ(fx.topo.AccumulatorWindows(fx.assignment), windows)
+          << "in-group moves keep every window";
+      for (VertexId v = 0; v < g.num_data(); ++v) {
+        for (const AffinityEntry& e : sweep.Entries(v)) {
+          ASSERT_TRUE(windows[v].Contains(e.bucket))
+              << "k=" << k << " round " << round << " v=" << v
+              << " holds bucket " << e.bucket << " outside ["
+              << windows[v].begin << ", " << windows[v].end << ")";
+        }
+      }
+      AffinitySweep fresh;
+      fresh.Build(g, ndata, pow, nullptr, windows);
+      ASSERT_TRUE(sweep.ApproxEquals(fresh, 1e-9, 1e-9))
+          << "k=" << k << " round " << round;
+      ASSERT_EQ(sweep.TotalEntries(), fresh.TotalEntries());
     }
   }
 }

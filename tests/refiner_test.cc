@@ -1,5 +1,6 @@
 // Refiner-level tests: grouped vs full-k equivalence, anchor penalties,
-// exploration determinism, and iteration accounting.
+// accumulator re-windowing on topology switches, exploration determinism,
+// and iteration accounting.
 #include <gtest/gtest.h>
 
 #include "core/partition.h"
@@ -94,6 +95,78 @@ TEST(Refiner, AnchorPenaltySuppressesMovement) {
   const uint64_t heavy_moves = moved_with_penalty(1e9);
   EXPECT_EQ(heavy_moves, 0u) << "prohibitive penalty freezes everything";
   EXPECT_GT(free_moves, 0u);
+}
+
+TEST(Refiner, TopologySwitchReWindowsTheAccumulators) {
+  // The refiner's accumulators hold only each vertex's group window, so a
+  // new topology over an unchanged assignment must rebuild them: grouped A
+  // -> grouped B (sparse groups, unrefined buckets) -> full-k, with every
+  // move frozen by a prohibitive anchor penalty. After each switch the
+  // proposals must equal a fresh refiner's exactly; within one topology the
+  // accumulators are kept.
+  const BipartiteGraph g = SmallGraph(6);
+  const BucketId k = 8;
+  const double eps = 0.05;
+  const MoveTopology grouped_a = MoveTopology::Grouped(
+      k, g.num_data(), eps, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
+  const MoveTopology grouped_b =
+      MoveTopology::Grouped(k, g.num_data(), eps, {{0, 2}, {4, 5, 6}});
+  const MoveTopology full = MoveTopology::FullK(k, g.num_data(), eps);
+  Partition partition = Partition::BalancedRandom(g.num_data(), k, 5);
+  const std::vector<BucketId> anchor = partition.assignment();
+  const double penalty = 1e9;
+
+  RefinerOptions options;
+  options.incremental_rebuild_fraction = 1.0;
+  Refiner refiner(g, options);
+  uint64_t iter = 0;
+  uint64_t expected_builds = 0;
+  for (const MoveTopology* topo : {&grouped_a, &grouped_b, &full}) {
+    ++expected_builds;
+    for (int round = 0; round < 2; ++round, ++iter) {
+      const IterationStats stats = refiner.RunIteration(
+          *topo, &partition, 3, iter, nullptr, &anchor, penalty);
+      ASSERT_TRUE(stats.push_sweep);
+      ASSERT_EQ(stats.num_moved, 0u) << "the anchor penalty freezes moves";
+      EXPECT_EQ(refiner.num_sweep_builds(), expected_builds)
+          << "topology " << expected_builds << " round " << round;
+      EXPECT_EQ(refiner.num_full_rebuilds(), 1u)
+          << "the neighbor data survives every switch";
+
+      Partition copy = partition;
+      Refiner fresh(g, options);
+      fresh.RunIteration(*topo, &copy, 3, iter, nullptr, &anchor, penalty);
+      ASSERT_EQ(refiner.targets(), fresh.targets())
+          << "topology " << expected_builds << " round " << round;
+      ASSERT_EQ(refiner.gains(), fresh.gains())
+          << "topology " << expected_builds << " round " << round;
+    }
+  }
+}
+
+TEST(Refiner, GroupedSteadyRoundsPatchTheWindowedAccumulators) {
+  const BipartiteGraph g = SmallGraph(8);
+  const BucketId k = 8;
+  const MoveTopology topo = MoveTopology::Grouped(
+      k, g.num_data(), 0.05, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
+  Partition partition = Partition::BalancedRandom(g.num_data(), k, 2);
+  RefinerOptions options;
+  options.incremental_rebuild_fraction = 1.0;
+  Refiner refiner(g, options);
+  uint64_t moved = 0;
+  for (uint64_t iter = 0; iter < 6; ++iter) {
+    moved += refiner.RunIteration(topo, &partition, 4, iter).num_moved;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(refiner.num_sweep_builds(), 1u)
+      << "steady grouped rounds must patch, not rebuild, the accumulators";
+  const AffinitySweep& sweep = refiner.affinity_sweep();
+  ASSERT_EQ(sweep.windows(), topo.AccumulatorWindows(partition.assignment()));
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    for (const AffinityEntry& e : sweep.Entries(v)) {
+      ASSERT_TRUE(sweep.windows()[v].Contains(e.bucket)) << "v=" << v;
+    }
+  }
 }
 
 TEST(Refiner, DrawFloorCutsDrawsOnConvergedInstance) {

@@ -1,7 +1,8 @@
 // Grouped varint wire codec tests: randomized lossless roundtrip over
-// chain-invariant record streams, hand-built streams exercising decoder
+// fold-shaped record streams, hand-built streams exercising decoder
 // tolerances (zero-count groups, wide varints), boundary ids, malformed
-// inputs, and the compression claim on a realistic steady-state stream.
+// inputs (including a repeated bucket within a group), and the compression
+// claim on a realistic steady-state stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,38 +46,25 @@ TEST(WireFormat, SingleRecord) {
 }
 
 TEST(WireFormat, RandomizedRoundtripIsBitIdentical) {
-  // Streams shaped like real superstep-2 buffers: ascending query groups,
-  // non-decreasing buckets inside a group, and same-bucket chains obeying
-  // old == previous new with new = old ± 1.
+  // Streams shaped like real superstep-2 buffers (the superstep-1 fold's
+  // output): strictly ascending query groups, strictly ascending buckets
+  // inside a group, arbitrary old counts and new = old ± 1.
   std::mt19937_64 rng(0xc0dec);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<NeighborDelta> records;
     VertexId q = 0;
     const int groups = static_cast<int>(rng() % 20);
     for (int g = 0; g < groups; ++g) {
-      q += static_cast<VertexId>(rng() % 1000);  // may repeat-jump by 0 only
-      // once: enforce strictly ascending except first
-      if (g > 0) q += 1;
-      BucketId bucket = 0;
+      q += static_cast<VertexId>(rng() % 1000) + (g > 0 ? 1 : 0);
+      BucketId bucket = static_cast<BucketId>(rng() % 64);
       const int recs = 1 + static_cast<int>(rng() % 6);
-      uint32_t prev_new = 0;
-      bool chained = false;
       for (int r = 0; r < recs; ++r) {
-        const bool same_bucket = chained && (rng() % 3 == 0);
-        if (!same_bucket) {
-          bucket += static_cast<BucketId>(rng() % 64) + (chained ? 1 : 0);
-        }
-        // Same-bucket successors chain (old == previous new); a fresh
-        // (q, bucket) chain starts at an arbitrary count.
-        const uint32_t old_count = same_bucket
-                                       ? prev_new
-                                       : static_cast<uint32_t>(rng() % 50);
+        if (r > 0) bucket += 1 + static_cast<BucketId>(rng() % 64);
+        const uint32_t old_count = static_cast<uint32_t>(rng() % 50);
         const uint32_t new_count =
             (old_count == 0 || (rng() % 2 == 0)) ? old_count + 1
                                                  : old_count - 1;
         records.push_back({q, bucket, old_count, new_count});
-        prev_new = new_count;
-        chained = true;
       }
     }
     EXPECT_EQ(Roundtrip(records), records) << "trial " << trial;
@@ -86,6 +74,38 @@ TEST(WireFormat, RandomizedRoundtripIsBitIdentical) {
     EncodeGroupedDeltas(records, &bytes);
     EXPECT_EQ(GroupedWireBytes(records), bytes.size());
   }
+}
+
+TEST(WireFormat, RejectsRepeatedBucketWithinAGroup) {
+  // The fold emits one record per changed (q, bucket), so a zero bucket
+  // delta after a group's first record is malformed. The first record's
+  // delta may be 0 (bucket 0).
+  std::vector<uint8_t> bytes;
+  AppendVarint(&bytes, 4);   // q = 4
+  AppendVarint(&bytes, 2);   // two records
+  AppendVarint(&bytes, 0);   // bucket 0
+  AppendZigZag(&bytes, 2);   // old = 2
+  AppendZigZag(&bytes, 1);   // new = 3
+  AppendVarint(&bytes, 0);   // bucket 0 again
+  AppendZigZag(&bytes, 3);
+  AppendZigZag(&bytes, 1);
+  std::vector<NeighborDelta> decoded;
+  EXPECT_FALSE(DecodeGroupedDeltas(bytes, &decoded));
+
+  // The same stream with a distinct second bucket decodes.
+  bytes.clear();
+  AppendVarint(&bytes, 4);
+  AppendVarint(&bytes, 2);
+  AppendVarint(&bytes, 0);
+  AppendZigZag(&bytes, 2);
+  AppendZigZag(&bytes, 1);
+  AppendVarint(&bytes, 5);  // bucket 5
+  AppendZigZag(&bytes, 3);
+  AppendZigZag(&bytes, 1);
+  decoded.clear();
+  ASSERT_TRUE(DecodeGroupedDeltas(bytes, &decoded));
+  const std::vector<NeighborDelta> expected = {{4, 0, 2, 3}, {4, 5, 3, 4}};
+  EXPECT_EQ(decoded, expected);
 }
 
 TEST(WireFormat, QidDeltaOverflowAndMaxBucket) {
@@ -169,7 +189,7 @@ TEST(WireFormat, RejectsGroupCountClaimBeyondStream) {
 // ------------------------------------------------------------- envelope ---
 
 std::vector<NeighborDelta> SampleRecords() {
-  return {{3, 0, 0, 1}, {3, 2, 4, 3}, {9, 1, 1, 2}, {9, 1, 2, 3}};
+  return {{3, 0, 0, 1}, {3, 2, 4, 3}, {9, 1, 1, 2}, {9, 4, 2, 3}};
 }
 
 std::vector<uint8_t> EncodeFrame(const std::vector<NeighborDelta>& records,
