@@ -1,5 +1,6 @@
 // google-benchmark microbenches for the hot kernels: neighbor-data build,
-// affinity-accumulator build (windowed and full-k), move-gain computation,
+// affinity-accumulator build (windowed, full-k and the BSP owner-sharded
+// bootstrap), the BSP superstep-1 combine, move-gain computation,
 // one refinement iteration, generator throughput, and the FM pass of the
 // multilevel baseline.
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "core/move_topology.h"
 #include "core/partition.h"
 #include "core/refiner.h"
+#include "engine/message_router.h"
 #include "graph/gen_social.h"
 #include "common/rng.h"
 #include "objective/affinity_sweep.h"
@@ -186,6 +188,70 @@ void BM_AffinitySweepBuildFullK(benchmark::State& state) {
   SweepBuildBench(state, /*grouped=*/false);
 }
 BENCHMARK(BM_AffinitySweepBuildFullK)->Arg(8)->Arg(64)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
+// The BSP bootstrap: the unwindowed build over the same neighbor data,
+// with per-worker work units for W = 4 hash-placed workers.
+void BM_AffinitySweepBuildSharded(benchmark::State& state) {
+  const BucketId k = static_cast<BucketId>(state.range(0));
+  constexpr int kWorkers = 4;
+  const BipartiteGraph graph = MakeGraph(20000, 16);
+  const auto partition = Partition::Random(graph.num_data(), k, 1);
+  QueryNeighborData ndata;
+  ndata.Build(graph, partition.assignment());
+  const GainComputer gain(0.5,
+                          static_cast<uint32_t>(graph.MaxQueryDegree()));
+  std::vector<int32_t> owner(graph.num_data());
+  for (VertexId v = 0; v < graph.num_data(); ++v) {
+    owner[v] = static_cast<int32_t>(HashToBounded(5, v, 0, kWorkers));
+  }
+  AffinitySweep sweep;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sweep.BuildSharded(
+        graph, ndata, gain.pow_table(), owner, kWorkers));
+  }
+  state.counters["entries"] = static_cast<double>(sweep.TotalEntries());
+}
+BENCHMARK(BM_AffinitySweepBuildSharded)->Arg(8)->Arg(64)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
+// Superstep-1 send and combine of one BSP round at W = 4: every moved
+// vertex queues −1 at its old bucket and +1 at its new one for each
+// adjacent query, on the (data owner, query owner) cell, and every source
+// row is then combined. The argument is the percentage of vertices moved.
+void BM_Superstep1Combine(benchmark::State& state) {
+  constexpr int kWorkers = 4;
+  const BucketId k = 32;
+  const BipartiteGraph graph = MakeGraph(20000, 16);
+  const auto partition = Partition::Random(graph.num_data(), k, 1);
+  std::vector<VertexMove> moves;
+  for (VertexId v = 0; v < graph.num_data(); ++v) {
+    if (HashToBounded(7, v, 0, 100) >= static_cast<uint64_t>(state.range(0))) {
+      continue;
+    }
+    const BucketId from = partition.bucket_of(v);
+    moves.push_back(
+        {v, from, static_cast<BucketId>((from + 1 + v % (k - 1)) % k)});
+  }
+  MessageCombiner combiner;
+  int64_t messages = 0;
+  for (auto _ : state) {
+    combiner.Reset(kWorkers);
+    for (const VertexMove& m : moves) {
+      const int src = static_cast<int>(HashToBounded(5, m.v, 0, kWorkers));
+      for (const VertexId q : graph.DataNeighbors(m.v)) {
+        const int dst = static_cast<int>(HashToBounded(6, q, 0, kWorkers));
+        combiner.Add(src, dst, {q, m.from, -1});
+        combiner.Add(src, dst, {q, m.to, +1});
+        messages += 2;
+      }
+    }
+    for (int src = 0; src < kWorkers; ++src) combiner.CombineRow(src);
+    benchmark::DoNotOptimize(combiner.Cell(0, 0).data());
+  }
+  state.SetItemsProcessed(messages);
+}
+BENCHMARK(BM_Superstep1Combine)->Arg(2)->Arg(20)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupedPullSiblingScan(benchmark::State& state) {

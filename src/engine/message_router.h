@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
+#include "objective/neighbor_data.h"
 
 namespace shp {
 
@@ -218,37 +218,45 @@ class MessageRouter {
   std::vector<uint64_t> in_bytes_;
 };
 
-/// Giraph-style message combiner: during a superstep's send phase each source
-/// worker folds same-destination, same-key messages into one value before
+/// Giraph-style message combiner for superstep 1: each source worker folds
+/// same-destination, same-(query, bucket) deltas into one message before
 /// anything reaches the wire ("machine-pair message combining", paper §3.3).
-/// Layout mirrors MessageRouter: one map per (src, dst) cell, single-writer
-/// per src row. The maps are *cleared, not destroyed*, between supersteps —
-/// a W×W grid of fresh unordered_maps per iteration was measurable
-/// allocation churn in the BSP hot loop, and clear() keeps each map's bucket
-/// array for the next round.
-template <typename Value>
+/// Layout mirrors MessageRouter: one flat vector per (src, dst) cell,
+/// single-writer per src row. The send loop appends raw ±1 deltas with Add;
+/// CombineRow then sorts each of the row's cells by (query, bucket), sums
+/// every run and drops zero sums (CombineDeltas, the fold's own sort +
+/// run-sum), leaving each cell ascending. Cells are cleared, not freed,
+/// between supersteps, so steady rounds reuse their capacity.
 class MessageCombiner {
  public:
-  /// (Re)shapes to num_workers² cells and clears every map, keeping their
-  /// allocated bucket arrays. Call once per superstep before combining.
+  /// (Re)shapes to num_workers² cells and empties every cell, keeping its
+  /// capacity. Call once per superstep before combining.
   void Reset(int num_workers) {
     SHP_CHECK_GT(num_workers, 0);
     num_workers_ = num_workers;
     const size_t cells =
         static_cast<size_t>(num_workers) * static_cast<size_t>(num_workers);
-    if (maps_.size() < cells) maps_.resize(cells);
-    for (auto& m : maps_) m.clear();
+    if (cells_.size() < cells) cells_.resize(cells);
+    for (auto& cell : cells_) cell.clear();
   }
 
-  /// Accumulation slot for `key` on the (src, dst) wire; value-initialized
-  /// (0 for arithmetic types) on first touch. Called by worker `src` only.
-  Value& Slot(int src, int dst, uint64_t key) {
-    return maps_[Index(src, dst)][key];
+  /// Queues one delta on the (src, dst) wire. Called by worker `src` only.
+  void Add(int src, int dst, const BucketDeltaMsg& message) {
+    cells_[Index(src, dst)].push_back(message);
   }
 
-  /// Combined (key, value) pairs queued from src to dst, ready to route.
-  const std::unordered_map<uint64_t, Value>& Cell(int src, int dst) const {
-    return maps_[Index(src, dst)];
+  /// Combines every cell of row `src` in place. Called by worker `src` only,
+  /// after its last Add of the superstep.
+  void CombineRow(int src) {
+    for (int dst = 0; dst < num_workers_; ++dst) {
+      CombineDeltas(&cells_[Index(src, dst)]);
+    }
+  }
+
+  /// Messages queued from src to dst: ascending (query, bucket) with
+  /// nonzero deltas once CombineRow(src) ran.
+  const std::vector<BucketDeltaMsg>& Cell(int src, int dst) const {
+    return cells_[Index(src, dst)];
   }
 
  private:
@@ -259,7 +267,7 @@ class MessageCombiner {
   }
 
   int num_workers_ = 0;
-  std::vector<std::unordered_map<uint64_t, Value>> maps_;
+  std::vector<std::vector<BucketDeltaMsg>> cells_;
 };
 
 }  // namespace shp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -15,29 +14,14 @@ namespace {
 
 /// Superstep-2 payload of the pull (full-reship) path: one query's
 /// (restricted) neighbor data, shipped once per destination worker and
-/// fanned out locally. The delta-exchange path ships NeighborDelta records
+/// fanned out locally. Receivers read the query replicas directly, so the
+/// simulation carries only the query and its list length — what the wire
+/// accounting charges. The delta-exchange path ships NeighborDelta records
 /// instead (see shp_bsp.h / docs/distributed.md).
 struct NeighborDataMsg {
   VertexId query;
-  std::vector<BucketCount> entries;
+  uint32_t num_entries;
 };
-
-/// Superstep-1 combiner key. Queries are VertexId — unsigned, with the full
-/// 2^32 range legal — so the pack widens through uint64 directly, never
-/// through a signed 32-bit cast. The static_asserts pin the layout.
-uint64_t PackQueryBucket(VertexId q, BucketId b) {
-  static_assert(sizeof(VertexId) == 4 && !std::is_signed_v<VertexId>,
-                "PackQueryBucket assumes 32-bit unsigned query ids");
-  static_assert(sizeof(BucketId) <= 4,
-                "PackQueryBucket assumes bucket ids fit 32 bits");
-  return (static_cast<uint64_t>(q) << 32) | static_cast<uint32_t>(b);
-}
-
-VertexId QueryOfKey(uint64_t key) { return static_cast<VertexId>(key >> 32); }
-
-BucketId BucketOfKey(uint64_t key) {
-  return static_cast<BucketId>(static_cast<uint32_t>(key));
-}
 
 }  // namespace
 
@@ -70,6 +54,7 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   recompute_.assign(graph.num_data(), 0);
   recompute_lists_.resize(W);
   mover_lists_.resize(W);
+  announce_lists_.resize(W);
   original_.assign(graph.num_data(), -1);
   proposal_scratch_.resize(W);
   const size_t links = W * W;
@@ -183,25 +168,33 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   s1_combiner_.Reset(W);
   for (int w = 0; w < W; ++w) s1_records_[static_cast<size_t>(w)].clear();
 
+  // Worker w queues −1 at v's last announced bucket (none on a cold start)
+  // and +1 at `now` on the wire to each adjacent query's owner, and records
+  // the announcement. Returns the work units.
+  const auto announce = [&](int w, VertexId v, BucketId now) -> uint64_t {
+    const BucketId before = known_assignment_[v];
+    for (VertexId q : graph_.DataNeighbors(v)) {
+      const int dst = sharding_.QueryWorker(q);
+      if (before >= 0) s1_combiner_.Add(w, dst, {q, before, -1});
+      s1_combiner_.Add(w, dst, {q, now, +1});
+    }
+    known_assignment_[v] = now;
+    return 2 * static_cast<uint64_t>(graph_.DataDegree(v));
+  };
+
   bool full_scan = !state_valid_;
   std::vector<uint64_t> s1_send_work(static_cast<size_t>(W), 0);
   if (!full_scan) {
+    // Each worker announces its own movers: split the list by owner once.
+    for (auto& list : announce_lists_) list.clear();
+    for (const VertexMove& m : pending_announce_) {
+      announce_lists_[static_cast<size_t>(data_owner_[m.v])].push_back(m.v);
+    }
     s1_send_work = RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
-      for (const VertexMove& m : pending_announce_) {
-        if (data_owner_[m.v] != w) continue;
-        const BucketId before = known_assignment_[m.v];
-        const BucketId now = partition->bucket_of(m.v);
-        if (now == before) continue;
-        for (VertexId q : graph_.DataNeighbors(m.v)) {
-          const int dst = sharding_.QueryWorker(q);
-          if (before >= 0) {
-            --s1_combiner_.Slot(w, dst, PackQueryBucket(q, before));
-          }
-          ++s1_combiner_.Slot(w, dst, PackQueryBucket(q, now));
-          work += 2;
-        }
-        known_assignment_[m.v] = now;
+      for (const VertexId v : announce_lists_[static_cast<size_t>(w)]) {
+        const BucketId now = partition->bucket_of(v);
+        if (now != known_assignment_[v]) work += announce(w, v, now);
       }
       return work;
     });
@@ -218,18 +211,9 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
           uint64_t changed = 0;
           for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
             const BucketId now = partition->bucket_of(v);
-            const BucketId before = known_assignment_[v];
-            if (now == before) continue;
+            if (now == known_assignment_[v]) continue;
             ++changed;
-            for (VertexId q : graph_.DataNeighbors(v)) {
-              const int dst = sharding_.QueryWorker(q);
-              if (before >= 0) {
-                --s1_combiner_.Slot(w, dst, PackQueryBucket(q, before));
-              }
-              ++s1_combiner_.Slot(w, dst, PackQueryBucket(q, now));
-              work += 2;
-            }
-            known_assignment_[v] = now;
+            work += announce(w, v, now);
           }
           diff_changed[static_cast<size_t>(w)] = changed;
           return work;
@@ -255,13 +239,12 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   }
   pending_announce_.clear();
 
-  // Flush each source row of the combiner onto the wire.
+  // Combine each source row and flush it onto the wire.
   RunPhase(W, pool, [&](int w) -> uint64_t {
+    s1_combiner_.CombineRow(w);
     for (int dst = 0; dst < W; ++dst) {
-      for (const auto& [key, delta] : s1_combiner_.Cell(w, dst)) {
-        if (delta == 0) continue;
-        router1.Send(w, dst,
-                     BucketDeltaMsg{QueryOfKey(key), BucketOfKey(key), delta});
+      for (const BucketDeltaMsg& m : s1_combiner_.Cell(w, dst)) {
+        router1.Send(w, dst, m);
       }
     }
     return 0;
@@ -434,15 +417,15 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
         // ships the *full* lists instead: the accumulator replicas it seeds
         // are topology-free, which is what lets later recursion levels
         // re-slice the active window instead of reshipping.
-        std::vector<BucketCount> restricted;
-        restricted.reserve(query_ndata_.Fanout(q));
-        for (const BucketCount& e : query_ndata_.Entries(q)) {
-          if (bootstrap ||
-              topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0) {
-            restricted.push_back(e);
+        uint32_t restricted = query_ndata_.Fanout(q);
+        if (!bootstrap) {
+          restricted = 0;
+          for (const BucketCount& e : query_ndata_.Entries(q)) {
+            restricted +=
+                topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0;
           }
         }
-        if (restricted.empty()) continue;
+        if (restricted == 0) continue;
         std::fill(dst_mask.begin(), dst_mask.end(), 0);
         for (VertexId v : graph_.QueryNeighbors(q)) {
           dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
@@ -450,7 +433,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
         for (int dst = 0; dst < W; ++dst) {
           if (!dst_mask[static_cast<size_t>(dst)]) continue;
           router2.Send(w, dst, NeighborDataMsg{q, restricted});
-          work += restricted.size();
+          work += restricted;
         }
       }
       return work;
@@ -470,14 +453,14 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
           if (!recompute_all) {
             for (VertexId v : graph_.QueryNeighbors(m.query)) claim(w, v);
           }
-          work += m.entries.size();
+          work += m.num_entries;
         }
       }
       return recompute_all ? work : work + claim_movers(w);
     });
     if (bootstrap) {
-      // Build each data worker's accumulator replica from the shipment, one
-      // query-major pass over its own shard.
+      // Build each data worker's accumulator replica from the shipment: one
+      // vertex-major pass, each worker charged for its own vertices.
       const std::vector<uint64_t> build_work = sweep_.BuildSharded(
           graph_, query_ndata_, gain_.pow_table(), data_owner_, W, pool);
       for (int w = 0; w < W; ++w) {
@@ -565,7 +548,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
                                 : "2:ship-neighbor-data+gains";
   s2.superstep = base_superstep + 1;
   s2.traffic = router2.CollectAndClearSized([](const NeighborDataMsg& m) {
-    return sizeof(VertexId) + m.entries.size() * sizeof(BucketCount);
+    return sizeof(VertexId) + m.num_entries * sizeof(BucketCount);
   });
   // Delta records go on the wire under the grouped varint codec; the payload
   // byte series counts exactly the grouped stream, with the envelope framing

@@ -253,7 +253,8 @@ class BspRefiner : public RefinerInterface {
 
   // Reusable per-iteration scratch (satellite of the delta-exchange work:
   // none of these are reallocated per call).
-  MessageCombiner<int32_t> s1_combiner_;
+  MessageCombiner s1_combiner_;
+  std::vector<std::vector<VertexId>> announce_lists_;  ///< movers per owner
   std::vector<BucketDeltaMsg> s1_inbox_;    ///< one query owner's messages
   std::vector<VertexId> s1_touched_;        ///< queries the fold touched
   std::vector<std::vector<NeighborDelta>> s1_records_;  ///< per query owner

@@ -86,16 +86,37 @@ void ApplyToVec(std::vector<AffinityEntry>* vec, BucketId b, double add,
 void AffinitySweep::Build(const BipartiteGraph& graph,
                           const QueryNeighborData& ndata, const PowTable& pow,
                           ThreadPool* pool, std::vector<BucketWindow> windows) {
+  SHP_CHECK(windows.empty() ||
+            windows.size() == static_cast<size_t>(graph.num_data()));
+  windows_ = std::move(windows);
+  BuildPass(graph, ndata, pow, nullptr, 0, pool);
+}
+
+std::vector<uint64_t> AffinitySweep::BuildSharded(
+    const BipartiteGraph& graph, const QueryNeighborData& ndata,
+    const PowTable& pow, const std::vector<int32_t>& owner_of, int num_shards,
+    ThreadPool* pool) {
+  SHP_CHECK_GT(num_shards, 0);
+  SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(graph.num_data()));
+  windows_.clear();
+  return BuildPass(graph, ndata, pow, &owner_of, num_shards, pool);
+}
+
+std::vector<uint64_t> AffinitySweep::BuildPass(
+    const BipartiteGraph& graph, const QueryNeighborData& ndata,
+    const PowTable& pow, const std::vector<int32_t>* owner_of, int num_owners,
+    ThreadPool* pool) {
   const VertexId n = graph.num_data();
   if (pool == nullptr) pool = &GlobalThreadPool();
-  SHP_CHECK(windows.empty() || windows.size() == static_cast<size_t>(n));
-  windows_ = std::move(windows);
+  const size_t owners = static_cast<size_t>(num_owners);
+  std::vector<uint64_t> work(owners, 0);
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
+  last_build_adjacency_reads_ = 0;
   if (n == 0) {
     entries_.clear();
-    return;
+    return work;
   }
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
@@ -113,8 +134,15 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
   // its accumulators, in vertex order with slack, into its own run (loc_
   // offsets relative to the run). Every vertex sums its contributions in
   // ascending query order — the same float sequence for any shard count.
+  // The first run starts in the previous arena's storage, so a rebuild
+  // does not hold the old arena and a growing new one at once.
   std::vector<std::vector<AffinityEntry>> runs(shards);
+  runs[0] = std::move(entries_);
+  runs[0].clear();
   std::vector<uint64_t> live(shards, 0);
+  std::vector<uint64_t> reads(shards, 0);
+  // Per (shard, owner) work units: the entries each owner's vertices merge.
+  std::vector<uint64_t> owner_work(shards * owners, 0);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     struct Sum {
       uint32_t support = 0;
@@ -130,6 +158,7 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
                 ? BucketWindow{0, std::numeric_limits<BucketId>::max()}
                 : windows_[v];
         if (window.begin < window.end) {
+          uint64_t merged = 0;
           for (const VertexId q : graph.DataNeighbors(v)) {
             const auto entries = ndata.Entries(q);
             auto it = entries.begin();
@@ -139,6 +168,7 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
                                       return e.bucket < b;
                                     });
             }
+            const auto first = it;
             for (; it != entries.end() && it->bucket < window.end; ++it) {
               const size_t b = static_cast<size_t>(it->bucket);
               if (b >= dense.size()) dense.resize(b + 1);
@@ -147,6 +177,13 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
               ++sum.support;
               sum.affinity += 1.0 - pow.Pow(it->count);
             }
+            merged += static_cast<uint64_t>(it - first);
+          }
+          reads[s] += graph.DataDegree(v);
+          if (owner_of != nullptr) {
+            const int32_t owner = (*owner_of)[v];
+            SHP_DCHECK(owner >= 0 && owner < num_owners);
+            owner_work[s * owners + static_cast<size_t>(owner)] += merged;
           }
           std::sort(touched.begin(), touched.end());
         }
@@ -166,151 +203,26 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
     }
   });
 
-  // Concatenate the runs in shard (= vertex) order: one run moves in as the
-  // arena; several are copied in parallel and their offsets rebased.
+  // Concatenate the runs in shard (= vertex) order: the first run becomes
+  // the arena and the others are copied in behind it, their offsets
+  // rebased.
   std::vector<uint64_t> base(shards, 0);
   uint64_t total = 0;
   for (size_t s = 0; s < shards; ++s) {
     base[s] = total;
     total += runs[s].size();
     live_entries_ += live[s];
+    last_build_adjacency_reads_ += reads[s];
+    for (size_t o = 0; o < owners; ++o) work[o] += owner_work[s * owners + o];
   }
-  if (shards == 1) {
-    entries_ = std::move(runs[0]);
-    return;
-  }
+  entries_ = std::move(runs[0]);
   entries_.resize(total);
-  pool->ParallelForEach(shards, [&](size_t s) {
+  pool->ParallelForEach(shards - 1, [&](size_t i) {
+    const size_t s = i + 1;
     std::copy(runs[s].begin(), runs[s].end(),
               entries_.begin() + static_cast<ptrdiff_t>(base[s]));
     for (VertexId v = bound[s]; v < bound[s + 1]; ++v) loc_[v].begin += base[s];
   });
-}
-
-void AffinitySweep::LayoutFromLists(
-    const std::vector<std::vector<AffinityEntry>>& lists, ThreadPool* pool) {
-  // Layout with per-vertex slack, then parallel copy into the arena.
-  const VertexId n = static_cast<VertexId>(lists.size());
-  uint64_t cursor = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    Loc& loc = loc_[v];
-    loc.begin = cursor;
-    loc.size = static_cast<uint32_t>(lists[v].size());
-    loc.cap = loc.size + kSlackPad;
-    cursor += loc.cap;
-    live_entries_ += loc.size;
-  }
-  entries_.assign(cursor, AffinityEntry{});
-  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-    for (size_t v = begin; v < end; ++v) {
-      std::copy(lists[v].begin(), lists[v].end(),
-                entries_.begin() + static_cast<ptrdiff_t>(loc_[v].begin));
-    }
-  });
-}
-
-std::vector<uint64_t> AffinitySweep::BuildSharded(
-    const BipartiteGraph& graph, const QueryNeighborData& ndata,
-    const PowTable& pow, const std::vector<int32_t>& owner_of, int num_shards,
-    ThreadPool* pool) {
-  const VertexId n = graph.num_data();
-  const VertexId nq = graph.num_queries();
-  if (pool == nullptr) pool = &GlobalThreadPool();
-  SHP_CHECK_GT(num_shards, 0);
-  SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(n));
-  windows_.clear();
-  loc_.assign(n, Loc{});
-  garbage_ = 0;
-  live_entries_ = 0;
-  std::vector<uint64_t> work(static_cast<size_t>(num_shards), 0);
-  if (n == 0) {
-    entries_.clear();
-    return work;
-  }
-
-  // One-pass bootstrap. Pass 1 bins the adjacency by owner shard: host
-  // workers take contiguous ascending query ranges and append, per
-  // (host range, shard) bin, a (q, neighbor count) head plus the owned
-  // neighbors themselves. Every (query, pin) is read exactly once — the old
-  // layout streamed the full adjacency once PER shard (W × |E| reads per
-  // re-bootstrap).
-  const size_t host = std::max<size_t>(1, pool->num_threads());
-  const size_t ranges = std::min<size_t>(host, std::max<VertexId>(nq, 1));
-  struct OwnerBin {
-    std::vector<std::pair<VertexId, uint32_t>> heads;  ///< (q, #owned nbrs)
-    std::vector<VertexId> verts;  ///< owned neighbors, grouped per head
-  };
-  std::vector<OwnerBin> bins(ranges * static_cast<size_t>(num_shards));
-  std::vector<uint64_t> reads(ranges, 0);
-  pool->ParallelFor(ranges, [&](size_t hbegin, size_t hend, size_t) {
-    for (size_t h = hbegin; h < hend; ++h) {
-      const VertexId qbegin =
-          ShardBegin(nq, ranges, h);  // query ranges ascend with h
-      const VertexId qend = ShardBegin(nq, ranges, h + 1);
-      OwnerBin* row = bins.data() + h * static_cast<size_t>(num_shards);
-      uint64_t scanned = 0;
-      for (VertexId q = qbegin; q < qend; ++q) {
-        for (VertexId v : graph.QueryNeighbors(q)) {
-          ++scanned;
-          SHP_DCHECK(owner_of[v] >= 0 && owner_of[v] < num_shards);
-          OwnerBin& bin = row[static_cast<size_t>(owner_of[v])];
-          if (bin.heads.empty() || bin.heads.back().first != q) {
-            bin.heads.emplace_back(q, 0);
-          }
-          ++bin.heads.back().second;
-          bin.verts.push_back(v);
-        }
-      }
-      reads[h] = scanned;
-    }
-  });
-  last_build_adjacency_reads_ = 0;
-  for (const uint64_t r : reads) last_build_adjacency_reads_ += r;
-
-  // Pass 2: each shard walks its bins in host-range order — query ids ascend
-  // globally across ranges, so every vertex's contributions still arrive in
-  // ascending query order and the accumulator floats are identical to the
-  // old layout for any shard count. Single-writer per vertex (disjoint
-  // ownership). Only the merges are charged as work, matching the old
-  // accounting (the binning pass, like the old redundant per-shard rescan,
-  // is a shared-memory-simulation artifact a real worker never pays).
-  std::vector<std::vector<AffinityEntry>> lists(n);
-  pool->ParallelForEach(static_cast<size_t>(num_shards), [&](size_t s) {
-    std::vector<std::pair<BucketId, double>> contrib;
-    uint64_t merged = 0;
-    for (size_t h = 0; h < ranges; ++h) {
-      const OwnerBin& bin = bins[h * static_cast<size_t>(num_shards) + s];
-      size_t vi = 0;
-      for (const auto& [q, count] : bin.heads) {
-        // One contribution per occupied bucket, computed once per query and
-        // shared by every owned neighbor.
-        contrib.clear();
-        for (const BucketCount& e : ndata.Entries(q)) {
-          contrib.emplace_back(e.bucket, 1.0 - pow.Pow(e.count));
-        }
-        for (uint32_t c = 0; c < count; ++c, ++vi) {
-          std::vector<AffinityEntry>& list = lists[bin.verts[vi]];
-          // Both sides are bucket-ascending: single forward merge.
-          size_t i = 0;
-          for (const auto& [bucket, add] : contrib) {
-            while (i < list.size() && list[i].bucket < bucket) ++i;
-            if (i < list.size() && list[i].bucket == bucket) {
-              list[i].support += 1;
-              list[i].affinity += add;
-            } else {
-              list.insert(list.begin() + i, {bucket, 1, add});
-            }
-            ++i;
-          }
-          merged += contrib.size();
-        }
-      }
-      SHP_DCHECK(vi == bin.verts.size());
-    }
-    work[s] = merged;
-  });
-
-  LayoutFromLists(lists, pool);
   return work;
 }
 

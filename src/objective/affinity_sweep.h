@@ -111,16 +111,14 @@ class AffinitySweep {
 
   /// Owner-sharded build for the BSP engine: data vertices are distributed
   /// over `num_shards` simulated workers by `owner_of` (hash placement, not
-  /// contiguous ranges), and shard s keeps accumulators only for its own
-  /// vertices — vertices it does not own stay empty. The bootstrap is ONE
-  /// pass over the adjacency regardless of shard count: a first parallel
-  /// sweep bins each query's neighbors by owner shard (contiguous ascending
-  /// query ranges per host worker), and a second merges each shard's binned
-  /// queries — in ascending query order, so accumulator floats are identical
-  /// to Build's — into its own vertices' lists. Always unwindowed: every
-  /// occupied bucket is kept. Returns per-shard simulated work units
-  /// (accumulator merge operations; the binning pass is host bookkeeping
-  /// and is not charged).
+  /// contiguous ranges), and each shard holds the accumulators of its own
+  /// vertices. The accumulators are exactly Build's unwindowed ones — the
+  /// same vertex-major pass, reading each (query, data-neighbor) pin once
+  /// for any shard count — so this is Build plus per-shard work units
+  /// counted in that pass: Σ over owned v and q ∈ N(v) of fanout(q), the
+  /// accumulator merges a worker performs. The host threads split the
+  /// vertices by Σ-degree, independently of ownership. Always unwindowed:
+  /// every occupied bucket is kept.
   std::vector<uint64_t> BuildSharded(const BipartiteGraph& graph,
                                      const QueryNeighborData& ndata,
                                      const PowTable& pow,
@@ -175,10 +173,11 @@ class AffinitySweep {
   /// Total live accumulator entries Σ_v |occupied buckets of N(v)|.
   uint64_t TotalEntries() const { return live_entries_; }
 
-  /// Adjacency neighbor reads performed by the most recent BuildSharded.
-  /// The one-pass bootstrap reads each (query, data-neighbor) pin exactly
-  /// once, so this equals graph.num_edges() for every shard count — the
-  /// counter the bootstrap-cost test and bench assert on.
+  /// Adjacency neighbor reads performed by the most recent Build or
+  /// BuildSharded: each (query, data-neighbor) pin of a vertex with a
+  /// nonempty window is read exactly once, so an unwindowed build reads
+  /// graph.num_edges() for every shard count — the counter the
+  /// bootstrap-cost test and bench assert on.
   uint64_t last_build_adjacency_reads() const {
     return last_build_adjacency_reads_;
   }
@@ -222,10 +221,14 @@ class AffinitySweep {
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
   };
 
-  /// BuildSharded tail: lays the per-vertex lists out into the arena with
-  /// fresh slack and parallel-copies them in.
-  void LayoutFromLists(const std::vector<std::vector<AffinityEntry>>& lists,
-                       ThreadPool* pool);
+  /// The vertex-major pass behind Build and BuildSharded, under windows_.
+  /// With `owner_of`, also returns the work units of each of `num_owners`
+  /// owners (see BuildSharded).
+  std::vector<uint64_t> BuildPass(const BipartiteGraph& graph,
+                                  const QueryNeighborData& ndata,
+                                  const PowTable& pow,
+                                  const std::vector<int32_t>* owner_of,
+                                  int num_owners, ThreadPool* pool);
 
   /// Folds one (bucket, affinity-add, support-delta) contribution into v's
   /// accumulator: in place while the slack lasts, else via `ovf` (the shared

@@ -182,9 +182,7 @@ void QueryNeighborData::Fold(size_t num_items, const Expand& expand,
       BucketDeltaMsg* it = s.scattered.data() + mini_begin[group_begin[sh]];
       BucketDeltaMsg* const last =
           s.scattered.data() + mini_begin[group_begin[sh + 1]];
-      std::sort(it, last, [](const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
-        return a.query != b.query ? a.query < b.query : a.bucket < b.bucket;
-      });
+      std::sort(it, last, QueryBucketLess);
       std::vector<BucketCount>& merged = s.merged[sh];
       auto& overflow = s.overflow[sh];
       std::vector<VertexId>& touched = s.touched[sh];
@@ -204,10 +202,7 @@ void QueryNeighborData::Fold(size_t num_items, const Expand& expand,
         merged.clear();
         while (it != last && it->query == q) {
           const BucketId b = it->bucket;
-          int64_t sum = 0;
-          for (; it != last && it->query == q && it->bucket == b; ++it) {
-            sum += it->delta;
-          }
+          const int64_t sum = SumRun(it, last);
           while (a < n && old[a].bucket < b) merged.push_back(old[a++]);
           const uint32_t before =
               a < n && old[a].bucket == b ? old[a++].count : 0;

@@ -72,6 +72,40 @@ struct BucketDeltaMsg {
   int32_t delta;
 };
 
+/// Ascending (query, bucket): the order the fold sums deltas in and emits
+/// records in.
+inline bool QueryBucketLess(const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
+  return a.query != b.query ? a.query < b.query : a.bucket < b.bucket;
+}
+
+/// Sums the run of same-(query, bucket) deltas that starts at `it` in a
+/// QueryBucketLess-sorted range ending at `last`, and advances `it` past it.
+template <class It>
+int64_t SumRun(It& it, It last) {
+  const VertexId q = it->query;
+  const BucketId b = it->bucket;
+  int64_t sum = 0;
+  for (; it != last && it->query == q && it->bucket == b; ++it) {
+    sum += it->delta;
+  }
+  return sum;
+}
+
+/// Sorts `deltas` by (query, bucket) and replaces every run with one
+/// message carrying its sum, dropping runs that sum to zero: the
+/// machine-pair combine of superstep 1, the same sort + run-sum as the fold.
+inline void CombineDeltas(std::vector<BucketDeltaMsg>* deltas) {
+  std::sort(deltas->begin(), deltas->end(), QueryBucketLess);
+  auto out = deltas->begin();
+  for (auto it = deltas->begin(); it != deltas->end();) {
+    const VertexId q = it->query;
+    const BucketId b = it->bucket;
+    const int64_t sum = SumRun(it, deltas->end());
+    if (sum != 0) *out++ = {q, b, static_cast<int32_t>(sum)};
+  }
+  deltas->erase(out, deltas->end());
+}
+
 /// The net outcome of one superstep-1 fold for one (query, bucket):
 /// n_bucket(q) went from old_count to new_count. The fold sums every delta a
 /// (q, bucket) received and emits exactly one record per (q, bucket) whose

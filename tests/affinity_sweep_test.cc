@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -719,6 +721,170 @@ TEST(WindowedSweep, PatchesStayInsideTheWindowsAndMatchAFreshBuild) {
           << "k=" << k << " round " << round;
       ASSERT_EQ(sweep.TotalEntries(), fresh.TotalEntries());
     }
+  }
+}
+
+/// Asserts two sweeps hold bit-identical accumulators and the same arena
+/// shape.
+void ExpectIdenticalSweeps(const AffinitySweep& got,
+                           const AffinitySweep& want, const std::string& at) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices()) << at;
+  ASSERT_EQ(got.windows(), want.windows()) << at;
+  EXPECT_EQ(got.TotalEntries(), want.TotalEntries()) << at;
+  EXPECT_EQ(got.ArenaSlots(), want.ArenaSlots()) << at;
+  for (VertexId v = 0; v < got.num_vertices(); ++v) {
+    const auto a = got.Entries(v);
+    const auto b = want.Entries(v);
+    ASSERT_EQ(a.size(), b.size()) << at << " v=" << v;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i], b[i]) << at << " v=" << v << " i=" << i;
+    }
+  }
+}
+
+TEST(AffinitySweepSharded, BuildShardedMatchesBruteForceOracle) {
+  // Independent oracle, computed from the assignment and the adjacency
+  // alone: per vertex, walk its queries in ascending id order, count each
+  // query's neighbors per bucket in a std::map, and sum 1 − B^count per
+  // bucket in a std::map — the summation order BuildSharded promises, so
+  // the floats must match bit for bit. Per-shard work is recounted
+  // directly as Σ over owned v and q ∈ N(v) of q's occupied buckets.
+  PowerLawConfig config;
+  config.num_queries = 500;
+  config.num_data = 300;
+  config.target_edges = 2600;
+  config.seed = 31;
+  const BipartiteGraph g = GeneratePowerLaw(config);
+  const BucketId k = 16;
+  const std::vector<BucketId> assignment =
+      Partition::Random(g.num_data(), k, 9).assignment();
+  QueryNeighborData ndata;
+  ndata.Build(g, assignment);
+  const PowTable pow(0.6, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+
+  std::vector<std::map<BucketId, uint32_t>> counts(g.num_queries());
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    for (const VertexId v : g.QueryNeighbors(q)) ++counts[q][assignment[v]];
+  }
+  std::vector<std::vector<AffinityEntry>> expected(g.num_data());
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    const auto nbrs = g.DataNeighbors(v);
+    std::vector<VertexId> queries(nbrs.begin(), nbrs.end());
+    std::sort(queries.begin(), queries.end());
+    std::map<BucketId, std::pair<uint32_t, double>> sum;
+    for (const VertexId q : queries) {
+      for (const auto& [b, c] : counts[q]) {
+        ++sum[b].first;
+        sum[b].second += 1.0 - pow.Pow(c);
+      }
+    }
+    for (const auto& [b, acc] : sum) {
+      expected[v].push_back({b, acc.first, acc.second});
+    }
+  }
+
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (const int num_shards : {1, 3, 8}) {
+    std::vector<int32_t> owner(g.num_data());
+    std::vector<uint64_t> expected_work(static_cast<size_t>(num_shards), 0);
+    for (VertexId v = 0; v < g.num_data(); ++v) {
+      owner[v] = static_cast<int32_t>(HashToBounded(19, v, 4, num_shards));
+      for (const VertexId q : g.DataNeighbors(v)) {
+        expected_work[static_cast<size_t>(owner[v])] += counts[q].size();
+      }
+    }
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      AffinitySweep sweep;
+      const std::vector<uint64_t> work =
+          sweep.BuildSharded(g, ndata, pow, owner, num_shards, pool);
+      const std::string at = "W=" + std::to_string(num_shards) +
+                             " threads=" + std::to_string(pool->num_threads());
+      EXPECT_EQ(work, expected_work) << at;
+      EXPECT_EQ(sweep.last_build_adjacency_reads(), g.num_edges()) << at;
+      EXPECT_TRUE(sweep.windows().empty()) << at;
+      uint64_t total = 0;
+      for (VertexId v = 0; v < g.num_data(); ++v) {
+        const auto got = sweep.Entries(v);
+        ASSERT_EQ(got.size(), expected[v].size()) << at << " v=" << v;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], expected[v][i]) << at << " v=" << v << " i=" << i;
+        }
+        total += got.size();
+      }
+      EXPECT_EQ(sweep.TotalEntries(), total) << at;
+    }
+  }
+}
+
+TEST(AffinitySweep, RebuildOverAnOldArenaMatchesAFreshBuild) {
+  // Build starts its first run in the previous arena's storage. Whatever
+  // that arena held — windowed entries, patch relocations, a sharded
+  // build — the rebuild must equal a fresh sweep's build bit for bit,
+  // arena size included, on one host thread and on several.
+  PowerLawConfig config;
+  config.num_queries = 600;
+  config.num_data = 400;
+  config.target_edges = 3000;
+  config.seed = 12;
+  const BipartiteGraph g = GeneratePowerLaw(config);
+  const BucketId k = 64;
+  const GroupedFixture a = RandomGroupedFixture(k, g.num_data(), 1);
+  const GroupedFixture b = RandomGroupedFixture(k, g.num_data(), 2);
+  QueryNeighborData ndata_a;
+  ndata_a.Build(g, a.assignment);
+  QueryNeighborData ndata_b;
+  ndata_b.Build(g, b.assignment);
+  const PowTable pow(0.5, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const std::vector<BucketWindow> windows_a =
+      a.topo.AccumulatorWindows(a.assignment);
+  const std::vector<BucketWindow> windows_b =
+      b.topo.AccumulatorWindows(b.assignment);
+  std::vector<int32_t> owner(g.num_data());
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    owner[v] = static_cast<int32_t>(HashToBounded(3, v, 1, 4));
+  }
+
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    const std::string threads =
+        " threads=" + std::to_string(pool->num_threads());
+    AffinitySweep sweep;
+    sweep.Build(g, ndata_a, pow, pool);
+    // Patch rounds grow accumulators past their slack, leaving relocated
+    // lists and garbage in the arena the next build starts from.
+    std::vector<BucketId> moved = a.assignment;
+    QueryNeighborData ndata_moved;
+    ndata_moved.Build(g, moved);
+    for (uint64_t round = 0; round < 6; ++round) {
+      const std::vector<VertexMove> moves =
+          RandomBatch(&moved, k, 17, round, 60);
+      std::vector<NeighborDelta> deltas;
+      ndata_moved.ApplyMoves(g, moves, nullptr, nullptr, &deltas);
+      sweep.ApplyDeltas(g, deltas, pow, pool);
+    }
+    ASSERT_GT(sweep.ArenaSlots(), sweep.TotalEntries());
+
+    AffinitySweep fresh;
+    sweep.Build(g, ndata_b, pow, pool);
+    fresh.Build(g, ndata_b, pow, pool);
+    ExpectIdenticalSweeps(sweep, fresh, "A patched -> B" + threads);
+
+    sweep.Build(g, ndata_a, pow, pool, windows_a);
+    sweep.Build(g, ndata_b, pow, pool, windows_b);
+    AffinitySweep fresh_windowed;
+    fresh_windowed.Build(g, ndata_b, pow, pool, windows_b);
+    ExpectIdenticalSweeps(sweep, fresh_windowed,
+                          "A windowed -> B windowed" + threads);
+
+    sweep.Build(g, ndata_b, pow, pool);
+    ExpectIdenticalSweeps(sweep, fresh, "B windowed -> B" + threads);
+
+    AffinitySweep fresh_sharded;
+    sweep.BuildSharded(g, ndata_a, pow, owner, 4, pool);
+    fresh_sharded.BuildSharded(g, ndata_a, pow, owner, 4, pool);
+    ExpectIdenticalSweeps(sweep, fresh_sharded, "B -> A sharded" + threads);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <tuple>
 #include <vector>
 
@@ -93,19 +94,68 @@ TEST(MessageRouter, ByteCountersAccumulateAcrossSupersteps) {
   EXPECT_EQ(router.in_bytes()[1], 0u);
 }
 
-TEST(MessageCombiner, CombinesPerDestinationAndSurvivesReset) {
-  MessageCombiner<int32_t> combiner;
+TEST(MessageCombiner, MatchesMapReferenceAcrossResets) {
+  // Random ±1 deltas over a small (query, bucket) space, so many keys
+  // cancel, against a std::map sum per (src, dst, query, bucket). Each
+  // combined cell must hold exactly the reference's nonzero sums, strictly
+  // ascending by (query, bucket); later rounds reuse the cells after Reset,
+  // with the worker count changing in between.
+  MessageCombiner combiner;
+  Rng rng(2024);
+  for (const int workers : {3, 2, 4, 3}) {
+    combiner.Reset(workers);
+    std::map<std::tuple<int, int, VertexId, BucketId>, int64_t> reference;
+    const auto add = [&](int src, int dst, VertexId q, BucketId b,
+                         int32_t delta) {
+      combiner.Add(src, dst, {q, b, delta});
+      reference[{src, dst, q, b}] += delta;
+    };
+    for (int i = 0; i < 3000; ++i) {
+      const int src = static_cast<int>(rng.NextBounded(workers));
+      const int dst = static_cast<int>(rng.NextBounded(workers));
+      const VertexId q = static_cast<VertexId>(rng.NextBounded(40));
+      const BucketId b = static_cast<BucketId>(rng.NextBounded(6));
+      add(src, dst, q, b, rng.NextBounded(2) == 0 ? -1 : +1);
+    }
+    // A move that a later move undoes on a key nothing else touches: the
+    // pair cancels and must not reach the wire.
+    add(0, workers - 1, 1000, 2, +1);
+    add(0, workers - 1, 1000, 2, -1);
+    for (int src = 0; src < workers; ++src) combiner.CombineRow(src);
+
+    size_t zero_sums = 0;
+    for (int src = 0; src < workers; ++src) {
+      for (int dst = 0; dst < workers; ++dst) {
+        std::vector<BucketDeltaMsg> expected;
+        for (const auto& [key, sum] : reference) {
+          const auto& [s, d, q, b] = key;
+          if (s != src || d != dst) continue;
+          if (sum == 0) {
+            ++zero_sums;
+            continue;
+          }
+          expected.push_back({q, b, static_cast<int32_t>(sum)});
+        }
+        const std::vector<BucketDeltaMsg>& cell = combiner.Cell(src, dst);
+        ASSERT_EQ(cell.size(), expected.size())
+            << "W=" << workers << " cell " << src << "->" << dst;
+        for (size_t i = 0; i < cell.size(); ++i) {
+          EXPECT_EQ(cell[i].query, expected[i].query);
+          EXPECT_EQ(cell[i].bucket, expected[i].bucket);
+          EXPECT_EQ(cell[i].delta, expected[i].delta);
+          EXPECT_NE(cell[i].delta, 0);
+          if (i > 0) EXPECT_TRUE(QueryBucketLess(cell[i - 1], cell[i]));
+        }
+      }
+    }
+    EXPECT_GT(zero_sums, 1u) << "the input must exercise cancelling keys";
+  }
   combiner.Reset(2);
-  ++combiner.Slot(0, 1, 7);
-  ++combiner.Slot(0, 1, 7);
-  --combiner.Slot(0, 1, 9);
-  ++combiner.Slot(1, 1, 7);  // different source row: independent
-  EXPECT_EQ(combiner.Cell(0, 1).at(7), 2);
-  EXPECT_EQ(combiner.Cell(0, 1).at(9), -1);
-  EXPECT_EQ(combiner.Cell(1, 1).at(7), 1);
-  EXPECT_TRUE(combiner.Cell(0, 0).empty());
-  combiner.Reset(2);
-  EXPECT_TRUE(combiner.Cell(0, 1).empty()) << "Reset clears combined state";
+  for (int src = 0; src < 2; ++src) {
+    for (int dst = 0; dst < 2; ++dst) {
+      EXPECT_TRUE(combiner.Cell(src, dst).empty()) << "Reset empties cells";
+    }
+  }
 }
 
 TEST(Sharding, CoversAllVerticesExactlyOnce) {
