@@ -1,5 +1,5 @@
 // Ablation bench for the §3.4 "advanced implementation" features, the design
-// choices DESIGN.md calls out:
+// choices README.md ("Substitutions") lists as implemented, not substituted:
 //   1. histogram matching vs the plain Algorithm-1 probability mover,
 //   2. capacity-slack (imbalanced swaps) on/off,
 //   3. ε scaling by recursion depth on/off,

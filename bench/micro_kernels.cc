@@ -233,21 +233,27 @@ void BM_Superstep1Combine(benchmark::State& state) {
     moves.push_back(
         {v, from, static_cast<BucketId>((from + 1 + v % (k - 1)) % k)});
   }
-  MessageCombiner combiner;
+  MessageRouter<BucketDeltaMsg> router(kWorkers);
   int64_t messages = 0;
   for (auto _ : state) {
-    combiner.Reset(kWorkers);
     for (const VertexMove& m : moves) {
       const int src = static_cast<int>(HashToBounded(5, m.v, 0, kWorkers));
       for (const VertexId q : graph.DataNeighbors(m.v)) {
         const int dst = static_cast<int>(HashToBounded(6, q, 0, kWorkers));
-        combiner.Add(src, dst, {q, m.from, -1});
-        combiner.Add(src, dst, {q, m.to, +1});
+        router.Send(src, dst, {q, m.from, -1});
+        router.Send(src, dst, {q, m.to, +1});
         messages += 2;
       }
     }
-    for (int src = 0; src < kWorkers; ++src) combiner.CombineRow(src);
-    benchmark::DoNotOptimize(combiner.Cell(0, 0).data());
+    for (int src = 0; src < kWorkers; ++src) {
+      for (int dst = 0; dst < kWorkers; ++dst) {
+        CombineDeltas(&router.Cell(src, dst));
+      }
+    }
+    benchmark::DoNotOptimize(router.Incoming(0, 0).data());
+    router.CollectAndClear([](int, int, const std::vector<BucketDeltaMsg>&) {
+      return uint64_t{0};
+    });
   }
   state.SetItemsProcessed(messages);
 }

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf(
       "\nNote: synthesized instances preserve each dataset's average degree\n"
-      "and structural family (degree tails, locality); see DESIGN.md "
-      "substitution 2.\n");
+      "and structural family (degree tails, locality); see README.md,\n"
+      "\"Substitutions\", item 2.\n");
   return 0;
 }

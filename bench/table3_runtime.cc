@@ -128,9 +128,10 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "\n* Multilevel stands in for Zoltan/Parkway (DESIGN.md substitution "
-      "3); measured once\n  per dataset (its runtime is k-independent, as "
-      "the paper observes for Zoltan).\n  FAIL(mem) = un-sampled hierarchy "
+      "\n* Multilevel stands in for Zoltan/Parkway (README.md, "
+      "\"Substitutions\", item 3);\n  measured once per dataset (its "
+      "runtime is k-independent, as the paper\n  observes for Zoltan).\n"
+      "  FAIL(mem) = un-sampled hierarchy "
       "exceeds the scaled 4x144GB budget — the paper's\n  failure mode for "
       "those tools. n/a@scale rows need a larger SHP_BENCH_SCALE.\n  Run "
       "with --full for the complete k grid including 8192.\n");

@@ -32,9 +32,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   // push whenever available, and an explicit kPush request degrades to pull
   // in the p = 1, t = 1 limit. Grouped recursion windows run the same push
   // scan over accumulators that hold only each vertex's group window.
-  const bool push =
-      options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
-      gain_.SupportsPush();
+  const bool push = options_.UsesPush(gain_);
   stats.push_sweep = push;
 
   // Superstep 1: collect neighbor data — reused across iterations whenever
@@ -214,10 +212,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       broker_.Apply(topo, targets_, gains_, seed, iteration, partition, pool,
                     recompute_all ? nullptr : &recompute_list_);
 
-  const bool high_churn =
-      static_cast<double>(outcome.moves.size()) >
-      options_.incremental_rebuild_fraction * static_cast<double>(n);
-  if (options_.incremental && !high_churn) {
+  if (options_.incremental && !options_.HighChurn(outcome.moves.size(), n)) {
     // Fold the executed moves into the carried state (superstep 1 of the
     // *next* iteration, amortized to the blast radius of this round). Push
     // mode additionally consumes the bucket-count delta records to patch
@@ -250,15 +245,20 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     sweep_valid_ = false;
   }
 
-  stats.num_proposals = outcome.num_proposals;
-  stats.num_moved = outcome.num_moved;
-  stats.num_reverted = outcome.num_reverted;
-  stats.num_draws = outcome.num_draws;
-  stats.gain_moved = outcome.gain_moved;
-  stats.moved_fraction =
-      n == 0 ? 0.0
-             : static_cast<double>(outcome.num_moved) / static_cast<double>(n);
+  stats.RecordOutcome(outcome, n);
   return stats;
+}
+
+void IterationStats::RecordOutcome(const MoveOutcome& outcome,
+                                   VertexId num_data) {
+  num_proposals = outcome.num_proposals;
+  num_moved = outcome.num_moved;
+  num_reverted = outcome.num_reverted;
+  num_draws = outcome.num_draws;
+  gain_moved = outcome.gain_moved;
+  moved_fraction = num_data == 0 ? 0.0
+                                 : static_cast<double>(outcome.num_moved) /
+                                       static_cast<double>(num_data);
 }
 
 }  // namespace shp

@@ -107,6 +107,18 @@ struct RefinerOptions {
   /// patches.
   double incremental_rebuild_fraction = 0.15;
   MoveBrokerOptions broker;
+
+  /// Whether superstep 2 runs push (see sweep_mode) under `gain`'s pow base;
+  /// both engines decide with this.
+  bool UsesPush(const GainComputer& gain) const {
+    return sweep_mode != SweepMode::kPull && gain.SupportsPush();
+  }
+  /// The high-churn rule both engines apply: true when `changed` vertices
+  /// exceed incremental_rebuild_fraction of `num_data`.
+  bool HighChurn(uint64_t changed, VertexId num_data) const {
+    return static_cast<double>(changed) >
+           incremental_rebuild_fraction * static_cast<double>(num_data);
+  }
 };
 
 struct IterationStats {
@@ -156,6 +168,9 @@ struct IterationStats {
   uint64_t workers_recovered = 0;
   /// Workers stalled (straggling) this iteration.
   uint64_t stalled_workers = 0;
+
+  /// Copies a move round's counts, and num_moved / num_data, into the stats.
+  void RecordOutcome(const MoveOutcome& outcome, VertexId num_data);
 };
 
 /// Interface over refinement iteration engines. The threaded in-memory

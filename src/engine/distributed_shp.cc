@@ -17,9 +17,11 @@ DistributedShpReport DistributedShp::Run(const BipartiteGraph& graph,
   report.num_workers = options_.bsp.num_workers;
 
   // The factory hands every driver level a BSP refiner that appends into the
-  // shared superstep log. The BspRefiner keeps cross-iteration state (dirty
-  // flags, cached proposals), so one instance per driver-level is exactly
-  // the Giraph job lifetime.
+  // shared superstep log. The BspRefiner keeps cross-iteration state (replicas,
+  // cached proposals), so one instance per driver-level is exactly the Giraph
+  // job lifetime. The worker-state peak is sampled at every epoch end, once
+  // the replicas exist (a fresh refiner holds only adjacency), before the
+  // caller's own hook runs.
   auto log = std::make_shared<std::vector<SuperstepStats>>();
   auto max_state = std::make_shared<uint64_t>(0);
   const BspConfig bsp = options_.bsp;
@@ -27,8 +29,15 @@ DistributedShpReport DistributedShp::Run(const BipartiteGraph& graph,
       [log, max_state, bsp](const BipartiteGraph& g,
                             const RefinerOptions& ropts)
       -> std::unique_ptr<RefinerInterface> {
-    auto refiner = std::make_unique<BspRefiner>(g, ropts, bsp, log.get());
-    *max_state = std::max(*max_state, refiner->MaxWorkerStateBytes());
+    auto self = std::make_shared<const BspRefiner*>(nullptr);
+    BspConfig config = bsp;
+    config.on_epoch_end = [self, max_state, hook = bsp.on_epoch_end](
+                              uint64_t epoch, uint64_t executed_moves) {
+      *max_state = std::max(*max_state, (*self)->MaxWorkerStateBytes());
+      if (hook) hook(epoch, executed_moves);
+    };
+    auto refiner = std::make_unique<BspRefiner>(g, ropts, config, log.get());
+    *self = refiner.get();
     return refiner;
   };
 

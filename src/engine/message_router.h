@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "objective/neighbor_data.h"
 
 namespace shp {
 
@@ -125,8 +125,6 @@ class MessageRouter {
   explicit MessageRouter(int num_workers) : num_workers_(num_workers) {
     SHP_CHECK_GT(num_workers, 0);
     buffers_.resize(static_cast<size_t>(num_workers) * num_workers);
-    out_bytes_.assign(static_cast<size_t>(num_workers), 0);
-    in_bytes_.assign(static_cast<size_t>(num_workers), 0);
   }
 
   int num_workers() const { return num_workers_; }
@@ -136,73 +134,37 @@ class MessageRouter {
     buffers_[Index(src, dst)].push_back(std::move(message));
   }
 
+  /// The (src, dst) buffer, for worker `src` to rewrite in place before the
+  /// barrier (superstep 1 combines each cell with CombineDeltas, Giraph's
+  /// machine-pair combiner).
+  std::vector<Message>& Cell(int src, int dst) {
+    return buffers_[Index(src, dst)];
+  }
+
   /// Messages addressed to `dst` from `src` (drained after the barrier).
   const std::vector<Message>& Incoming(int src, int dst) const {
     return buffers_[Index(src, dst)];
   }
 
-  /// Tallies traffic (counting `bytes_per_message` for remote ones), then
-  /// clears all buffers. Call once per superstep after consumption.
-  RouteStats CollectAndClear(size_t bytes_per_message) {
-    return CollectAndClearSized(
-        [bytes_per_message](const Message&) { return bytes_per_message; });
-  }
-
-  /// Variable-size variant: `size_of(msg)` gives each message's wire bytes.
-  template <typename SizeFn>
-  RouteStats CollectAndClearSized(const SizeFn& size_of) {
-    RouteStats stats;
-    for (int src = 0; src < num_workers_; ++src) {
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& buffer = buffers_[Index(src, dst)];
-        if (src == dst) {
-          stats.local_messages += buffer.size();
-          continue;
-        }
-        stats.remote_messages += buffer.size();
-        uint64_t bytes = 0;
-        for (const Message& m : buffer) bytes += size_of(m);
-        stats.remote_bytes += bytes;
-        out_bytes_[static_cast<size_t>(src)] += bytes;
-        in_bytes_[static_cast<size_t>(dst)] += bytes;
-      }
-    }
-    for (auto& buffer : buffers_) buffer.clear();
-    return stats;
-  }
-
-  /// Per-link variant: `bytes_of(src, dst, buffer)` gives the wire bytes of
-  /// one remote buffer. Used when the bytes were already determined during
-  /// the (enveloped) transfer — the accounting then replays the recorded
-  /// per-link sizes instead of re-encoding every buffer.
+  /// Tallies traffic, with `bytes_of(src, dst, buffer)` giving the wire
+  /// bytes of one remote buffer, then clears all buffers (keeping their
+  /// capacity). Call once per superstep after consumption.
   template <typename LinkSizeFn>
-  RouteStats CollectAndClearPerLink(const LinkSizeFn& bytes_of) {
+  RouteStats CollectAndClear(const LinkSizeFn& bytes_of) {
     RouteStats stats;
     for (int src = 0; src < num_workers_; ++src) {
       for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& buffer = buffers_[Index(src, dst)];
+        auto& buffer = buffers_[Index(src, dst)];
         if (src == dst) {
           stats.local_messages += buffer.size();
-          continue;
+        } else {
+          stats.remote_messages += buffer.size();
+          stats.remote_bytes += bytes_of(src, dst, buffer);
         }
-        stats.remote_messages += buffer.size();
-        const uint64_t bytes = bytes_of(src, dst, buffer);
-        stats.remote_bytes += bytes;
-        out_bytes_[static_cast<size_t>(src)] += bytes;
-        in_bytes_[static_cast<size_t>(dst)] += bytes;
+        buffer.clear();
       }
     }
-    for (auto& buffer : buffers_) buffer.clear();
     return stats;
-  }
-
-  /// Per-worker remote byte counters accumulated across supersteps (used by
-  /// the cost model's max-over-workers term); reset with ResetByteCounters.
-  const std::vector<uint64_t>& out_bytes() const { return out_bytes_; }
-  const std::vector<uint64_t>& in_bytes() const { return in_bytes_; }
-  void ResetByteCounters() {
-    std::fill(out_bytes_.begin(), out_bytes_.end(), 0);
-    std::fill(in_bytes_.begin(), in_bytes_.end(), 0);
   }
 
  private:
@@ -214,60 +176,6 @@ class MessageRouter {
 
   int num_workers_;
   std::vector<std::vector<Message>> buffers_;
-  std::vector<uint64_t> out_bytes_;
-  std::vector<uint64_t> in_bytes_;
-};
-
-/// Giraph-style message combiner for superstep 1: each source worker folds
-/// same-destination, same-(query, bucket) deltas into one message before
-/// anything reaches the wire ("machine-pair message combining", paper §3.3).
-/// Layout mirrors MessageRouter: one flat vector per (src, dst) cell,
-/// single-writer per src row. The send loop appends raw ±1 deltas with Add;
-/// CombineRow then sorts each of the row's cells by (query, bucket), sums
-/// every run and drops zero sums (CombineDeltas, the fold's own sort +
-/// run-sum), leaving each cell ascending. Cells are cleared, not freed,
-/// between supersteps, so steady rounds reuse their capacity.
-class MessageCombiner {
- public:
-  /// (Re)shapes to num_workers² cells and empties every cell, keeping its
-  /// capacity. Call once per superstep before combining.
-  void Reset(int num_workers) {
-    SHP_CHECK_GT(num_workers, 0);
-    num_workers_ = num_workers;
-    const size_t cells =
-        static_cast<size_t>(num_workers) * static_cast<size_t>(num_workers);
-    if (cells_.size() < cells) cells_.resize(cells);
-    for (auto& cell : cells_) cell.clear();
-  }
-
-  /// Queues one delta on the (src, dst) wire. Called by worker `src` only.
-  void Add(int src, int dst, const BucketDeltaMsg& message) {
-    cells_[Index(src, dst)].push_back(message);
-  }
-
-  /// Combines every cell of row `src` in place. Called by worker `src` only,
-  /// after its last Add of the superstep.
-  void CombineRow(int src) {
-    for (int dst = 0; dst < num_workers_; ++dst) {
-      CombineDeltas(&cells_[Index(src, dst)]);
-    }
-  }
-
-  /// Messages queued from src to dst: ascending (query, bucket) with
-  /// nonzero deltas once CombineRow(src) ran.
-  const std::vector<BucketDeltaMsg>& Cell(int src, int dst) const {
-    return cells_[Index(src, dst)];
-  }
-
- private:
-  size_t Index(int src, int dst) const {
-    SHP_DCHECK(src >= 0 && src < num_workers_);
-    SHP_DCHECK(dst >= 0 && dst < num_workers_);
-    return static_cast<size_t>(src) * num_workers_ + dst;
-  }
-
-  int num_workers_ = 0;
-  std::vector<std::vector<BucketDeltaMsg>> cells_;
 };
 
 }  // namespace shp

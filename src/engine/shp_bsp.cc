@@ -1,6 +1,7 @@
 #include "engine/shp_bsp.h"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 
 #include "common/logging.h"
@@ -23,6 +24,11 @@ struct NeighborDataMsg {
   uint32_t num_entries;
 };
 
+/// Adds one phase's per-worker work units into the superstep's.
+void AddWork(SuperstepStats* step, const std::vector<uint64_t>& work) {
+  for (size_t w = 0; w < work.size(); ++w) step->work_units[w] += work[w];
+}
+
 }  // namespace
 
 BspRefiner::BspRefiner(const BipartiteGraph& graph,
@@ -34,6 +40,7 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
       gain_(options.p, static_cast<uint32_t>(graph.MaxQueryDegree()),
             options.future_splits),
       sharding_(config.num_workers, config.shard_seed),
+      s1_router_(config.num_workers),
       log_(log) {
   SHP_CHECK_GT(config.num_workers, 0);
   const size_t W = static_cast<size_t>(config.num_workers);
@@ -45,10 +52,10 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
     data_owner_[v] = sharding_.DataWorker(v);
   }
   query_ndata_.Clear(graph.num_queries());
-  query_dirty_.assign(graph.num_queries(), 1);
   known_assignment_.assign(graph.num_data(), -1);
   cached_target_.assign(graph.num_data(), -1);
   cached_gain_.assign(graph.num_data(), 0.0);
+  s1_touched_.resize(W);
   s1_records_.resize(W);
   s2_inbox_.resize(W);
   recompute_.assign(graph.num_data(), 0);
@@ -57,14 +64,8 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   announce_lists_.resize(W);
   original_.assign(graph.num_data(), -1);
   proposal_scratch_.resize(W);
-  const size_t links = W * W;
-  link_send_seq_.assign(links, 0);
-  link_recv_seq_.assign(links, 0);
-  link_last_wire_.resize(links);
-  link_fail_streak_.assign(links, 0);
-  link_backoff_until_.assign(links, 0);
-  link_backoff_len_.assign(links, std::max(config.link_backoff_epochs, 1));
-  link_payload_bytes_.assign(links, 0);
+  ResetLinks();
+  link_payload_bytes_.assign(W * W, 0);
   if (config.fault_schedule != nullptr) {
     injector_ = FaultInjector(*config.fault_schedule);
   }
@@ -101,16 +102,49 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
                                         const std::vector<BucketId>* anchor,
                                         double anchor_penalty) {
   SHP_CHECK_EQ(partition->num_data(), graph_.num_data());
-  if (pool == nullptr) pool = &GlobalThreadPool();
-  const int W = config_.num_workers;
-  const uint64_t base_superstep =
-      log_ == nullptr ? 0 : static_cast<uint64_t>(log_->size());
-  IterationStats stats;
-
   // Protocol epoch: the engine's own monotonic counter. The caller's
   // `iteration` parameter restarts under recursion drivers, so it cannot key
-  // the wire protocol or the fault schedule.
-  const uint64_t epoch = epoch_++;
+  // the wire protocol or the fault schedule. The exchange mode is constant
+  // per engine instance (options and pow base are fixed at construction).
+  Round round{topo,
+              partition,
+              seed,
+              iteration,
+              pool == nullptr ? &GlobalThreadPool() : pool,
+              anchor,
+              anchor_penalty,
+              epoch_++,
+              options_.UsesPush(gain_)};
+  round.stats.push_sweep = round.push;
+
+  // The four supersteps, in order (a braced list evaluates left to right);
+  // each returns after its barrier.
+  SuperstepStats steps[] = {CollectNeighborData(&round),
+                            ExchangeAndPropose(&round),
+                            ProposeToMaster(&round),
+                            MoveAndCheckpoint(&round)};
+  if (log_ != nullptr) {
+    for (SuperstepStats& step : steps) {
+      step.superstep = log_->size();
+      log_->push_back(std::move(step));
+    }
+  }
+  // Epoch boundary: everything of this iteration — moves, repair,
+  // checkpoint — is committed; external observers (the serving loop's
+  // migration bookkeeping) hook in here.
+  if (config_.on_epoch_end) {
+    config_.on_epoch_end(round.epoch, round.stats.num_moved);
+  }
+  return round.stats;
+}
+
+SuperstepStats BspRefiner::CollectNeighborData(Round* round) {
+  const int W = config_.num_workers;
+  const Partition& partition = *round->partition;
+  ThreadPool* pool = round->pool;
+  SuperstepStats s1;
+  s1.label = "1:collect-neighbor-data";
+  s1.work_units.assign(static_cast<size_t>(W), 0);
 
   // Worker kill at the superstep boundary: the replacement worker reloads
   // its query shard's adjacency and rebuilds its queries' neighbor data from
@@ -118,19 +152,18 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // per pin, and every derived structure (accumulator replicas, cached
   // proposals, histograms) is re-bootstrapped below. Before the first
   // iteration there is no state to lose — a kill at epoch 0 is a no-op.
-  std::vector<uint64_t> recovery_work(static_cast<size_t>(W), 0);
   if (!injector_.empty() && state_valid_) {
     bool killed = false;
     for (int w = 0; w < W; ++w) {
-      if (!injector_.KillsWorker(epoch, w)) continue;
+      if (!injector_.KillsWorker(round->epoch, w)) continue;
       for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
-        recovery_work[static_cast<size_t>(w)] += graph_.QueryDegree(q);
+        s1.work_units[static_cast<size_t>(w)] += graph_.QueryDegree(q);
       }
       killed = true;
       sweep_valid_ = false;
       proposals_valid_ = false;
       hist_valid_ = false;
-      ++stats.workers_recovered;
+      ++round->stats.workers_recovered;
       ++counters_.workers_recovered;
     }
     // One host rebuild serves every killed worker: the survivors' replicas
@@ -139,114 +172,73 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     if (killed) query_ndata_.Build(graph_, known_assignment_, pool);
   }
 
-  // Links still in backoff at this epoch force degraded (full-reship) mode.
-  uint64_t backoff_links = 0;
-  for (const uint64_t until : link_backoff_until_) {
-    if (until > epoch) ++backoff_links;
-  }
-  stats.degraded_links = backoff_links;
-
-  // Superstep-2 exchange mode: delta exchange + push sweep needs only a
-  // nonzero pow base (same support condition as the threaded Refiner) —
-  // grouped recursion windows run the same record exchange and scan the
-  // group-restricted accumulator view, so SHP-2/r levels also ship O(moved
-  // pins). The mode is constant per engine instance (options and pow base
-  // are fixed at construction).
-  const bool push =
-      options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
-      gain_.SupportsPush();
-  stats.push_sweep = push;
-
-  // ---------------------------------------------------------------- S1 ---
   // data -> query: bucket deltas from vertices whose bucket differs from
   // what their queries last saw. Steady state announces only last round's
   // net movers (the compact pending list); the O(n) per-vertex diff scan
   // runs only on the first iteration or when the partition was mutated
   // behind our back (detected below, never assumed — the diff scan then
   // self-heals the replicas).
-  MessageRouter<BucketDeltaMsg> router1(W);
-  s1_combiner_.Reset(W);
-  for (int w = 0; w < W; ++w) s1_records_[static_cast<size_t>(w)].clear();
-
-  // Worker w queues −1 at v's last announced bucket (none on a cold start)
-  // and +1 at `now` on the wire to each adjacent query's owner, and records
-  // the announcement. Returns the work units.
-  const auto announce = [&](int w, VertexId v, BucketId now) -> uint64_t {
-    const BucketId before = known_assignment_[v];
-    for (VertexId q : graph_.DataNeighbors(v)) {
-      const int dst = sharding_.QueryWorker(q);
-      if (before >= 0) s1_combiner_.Add(w, dst, {q, before, -1});
-      s1_combiner_.Add(w, dst, {q, now, +1});
-    }
-    known_assignment_[v] = now;
-    return 2 * static_cast<uint64_t>(graph_.DataDegree(v));
+  //
+  // Worker w walks its list, and for every vertex v whose bucket changed
+  // queues −1 at v's last announced bucket (none on a cold start) and +1 at
+  // the new one on the wire to each adjacent query's owner, and records the
+  // announcement.
+  std::vector<uint64_t> changed(static_cast<size_t>(W), 0);
+  const auto announce = [&](const std::vector<std::vector<VertexId>>& lists) {
+    AddWork(&s1, RunPhase(W, pool, [&](int w) -> uint64_t {
+              uint64_t work = 0;
+              uint64_t num_changed = 0;
+              for (const VertexId v : lists[static_cast<size_t>(w)]) {
+                const BucketId before = known_assignment_[v];
+                const BucketId now = partition.bucket_of(v);
+                if (now == before) continue;
+                for (VertexId q : graph_.DataNeighbors(v)) {
+                  const int dst = sharding_.QueryWorker(q);
+                  if (before >= 0) s1_router_.Send(w, dst, {q, before, -1});
+                  s1_router_.Send(w, dst, {q, now, +1});
+                }
+                known_assignment_[v] = now;
+                ++num_changed;
+                work += 2 * static_cast<uint64_t>(graph_.DataDegree(v));
+              }
+              changed[static_cast<size_t>(w)] = num_changed;
+              return work;
+            }));
   };
 
-  bool full_scan = !state_valid_;
-  std::vector<uint64_t> s1_send_work(static_cast<size_t>(W), 0);
-  if (!full_scan) {
+  round->full_scan = !state_valid_;
+  if (!round->full_scan) {
     // Each worker announces its own movers: split the list by owner once.
     for (auto& list : announce_lists_) list.clear();
     for (const VertexMove& m : pending_announce_) {
       announce_lists_[static_cast<size_t>(data_owner_[m.v])].push_back(m.v);
     }
-    s1_send_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      for (const VertexId v : announce_lists_[static_cast<size_t>(w)]) {
-        const BucketId now = partition->bucket_of(v);
-        if (now != known_assignment_[v]) work += announce(w, v, now);
-      }
-      return work;
-    });
+    announce(announce_lists_);
     // Driver-level replica guard (int compare, not simulated work): after
     // folding the pending moves, anything still differing means the caller
     // mutated the partition externally.
-    if (known_assignment_ != partition->assignment()) full_scan = true;
+    if (known_assignment_ != partition.assignment()) round->full_scan = true;
   }
-  if (full_scan) {
-    std::vector<uint64_t> diff_changed(static_cast<size_t>(W), 0);
-    const std::vector<uint64_t> diff_work =
-        RunPhase(W, pool, [&](int w) -> uint64_t {
-          uint64_t work = 0;
-          uint64_t changed = 0;
-          for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-            const BucketId now = partition->bucket_of(v);
-            if (now == known_assignment_[v]) continue;
-            ++changed;
-            work += announce(w, v, now);
-          }
-          diff_changed[static_cast<size_t>(w)] = changed;
-          return work;
-        });
-    uint64_t total_changed = 0;
-    for (int w = 0; w < W; ++w) {
-      s1_send_work[static_cast<size_t>(w)] +=
-          diff_work[static_cast<size_t>(w)];
-      total_changed += diff_changed[static_cast<size_t>(w)];
-    }
+  if (round->full_scan) {
+    announce(data_shards_);
     if (sweep_valid_ &&
-        static_cast<double>(total_changed) >
-            options_.incremental_rebuild_fraction *
-                static_cast<double>(graph_.num_data())) {
-      // External-mutation churn guard (same cost rule as the post-move
-      // fallback below): with this many externally changed vertices the
-      // diff records outweigh a full reship, so drop the replicas now —
-      // the fold then skips emission and superstep 2 re-bootstraps.
+        options_.HighChurn(
+            std::accumulate(changed.begin(), changed.end(), uint64_t{0}),
+            graph_.num_data())) {
+      // External-mutation churn guard (the same rule as the post-move
+      // fallback in superstep 4): with this many externally changed
+      // vertices the diff records outweigh a full reship, so drop the
+      // replicas now — the fold then skips emission and superstep 2
+      // re-bootstraps.
       sweep_valid_ = false;
     }
     proposals_valid_ = false;
     hist_valid_ = false;
   }
-  pending_announce_.clear();
 
-  // Combine each source row and flush it onto the wire.
+  // Combine each source row in place before it leaves the worker.
   RunPhase(W, pool, [&](int w) -> uint64_t {
-    s1_combiner_.CombineRow(w);
-    for (int dst = 0; dst < W; ++dst) {
-      for (const BucketDeltaMsg& m : s1_combiner_.Cell(w, dst)) {
-        router1.Send(w, dst, m);
-      }
-    }
+    for (int dst = 0; dst < W; ++dst) CombineDeltas(&s1_router_.Cell(w, dst));
     return 0;
   });
 
@@ -254,25 +246,31 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // neighbor data with the threaded Refiner's fold, which emits one
   // (q, bucket, old, new) NeighborDelta per changed (query, bucket) in
   // ascending order — the records superstep 2 ships in delta-exchange mode,
-  // independent of how the deltas were split over source workers. Records
-  // are only worth emitting when valid accumulator replicas will consume
-  // them; after a high-churn round the replicas were dropped and superstep
-  // 2 re-bootstraps instead. Every query that received a delta is dirty.
-  const bool emit = push && sweep_valid_;
-  std::vector<uint64_t> s1_recv_work(static_cast<size_t>(W), 0);
+  // independent of how the deltas were split over source workers — and
+  // lists every query that received a delta, ascending (the queries a pull
+  // reship sends). Records are only worth emitting when valid accumulator
+  // replicas will consume them; after a high-churn round the replicas were
+  // dropped and superstep 2 re-bootstraps instead.
+  const bool emit = round->push && sweep_valid_;
   for (int w = 0; w < W; ++w) {
+    const size_t wi = static_cast<size_t>(w);
     s1_inbox_.clear();
     for (int src = 0; src < W; ++src) {
-      const auto& in = router1.Incoming(src, w);
+      const auto& in = s1_router_.Incoming(src, w);
       s1_inbox_.insert(s1_inbox_.end(), in.begin(), in.end());
     }
-    s1_recv_work[static_cast<size_t>(w)] = s1_inbox_.size();
-    s1_touched_.clear();
-    query_ndata_.ApplyDeltas(s1_inbox_, pool, &s1_touched_,
-                             emit ? &s1_records_[static_cast<size_t>(w)]
-                                  : nullptr);
-    for (const VertexId q : s1_touched_) query_dirty_[q] = 1;
+    s1.work_units[wi] += s1_inbox_.size();
+    s1_touched_[wi].clear();
+    s1_records_[wi].clear();
+    query_ndata_.ApplyDeltas(s1_inbox_, pool, &s1_touched_[wi],
+                             emit ? &s1_records_[wi] : nullptr);
+    round->stats.num_delta_records += s1_records_[wi].size();
   }
+  round->stats.full_rebuild = round->full_scan;
+  s1.traffic = s1_router_.CollectAndClear(
+      [](int, int, const std::vector<BucketDeltaMsg>& cell) {
+        return cell.size() * sizeof(BucketDeltaMsg);
+      });
 
   // Records are emitted exactly when push && sweep_valid_ — superstep 2
   // then patches the accumulator replicas with them. The exchange mode is
@@ -280,305 +278,122 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // no longer change query replicas behind valid accumulators: sweep_valid_
   // implies push, and an invalid sweep re-bootstraps below. (A pull-mode
   // instance never builds replicas in the first place.)
-  SHP_DCHECK(!sweep_valid_ || push);
-
-  SuperstepStats s1;
-  s1.label = "1:collect-neighbor-data";
-  s1.superstep = base_superstep;
-  s1.traffic = router1.CollectAndClear(sizeof(BucketDeltaMsg));
-  s1.work_units.resize(static_cast<size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    s1.work_units[static_cast<size_t>(w)] =
-        s1_send_work[static_cast<size_t>(w)] +
-        s1_recv_work[static_cast<size_t>(w)] +
-        recovery_work[static_cast<size_t>(w)];
-  }
-
+  SHP_DCHECK(!sweep_valid_ || round->push);
 #ifndef NDEBUG
   {
     // The delta-patched query replicas must be bit-identical to a rebuild
     // from the current assignment.
     QueryNeighborData fresh;
-    fresh.Build(graph_, partition->assignment(), pool);
+    fresh.Build(graph_, partition.assignment(), pool);
     SHP_CHECK(query_ndata_.ContentEquals(fresh))
         << "BSP query replicas diverged from a rebuild";
   }
 #endif
+  return s1;
+}
 
-  // ---------------------------------------------------------------- S2 ---
+SuperstepStats BspRefiner::ExchangeAndPropose(Round* round) {
+  const int W = config_.num_workers;
+  const bool push = round->push;
+  ThreadPool* pool = round->pool;
+  SuperstepStats s2;
+  s2.work_units.assign(static_cast<size_t>(W), 0);
+
   // The scan direction is fixed per instance, so the topology and anchor
   // are all the cached proposals depend on beyond the replicas.
-  const bool context_ok =
-      proposal_context_.Matches(topo, anchor, anchor_penalty);
-  if (!context_ok) proposal_context_.Snapshot(topo, anchor, anchor_penalty);
+  const bool context_ok = proposal_context_.Matches(
+      round->topo, round->anchor, round->anchor_penalty);
+  if (!context_ok) {
+    proposal_context_.Snapshot(round->topo, round->anchor,
+                               round->anchor_penalty);
+  }
   // Degraded mode: while any link is in backoff the delta exchange stays
   // suspended — full-reship bootstraps (which bypass the link protocol)
   // until the backoff expires.
-  const bool degraded = push && backoff_links > 0;
-  bool bootstrap = push && (!sweep_valid_ || degraded);
-
-  stats.full_rebuild = full_scan;
-  for (int w = 0; w < W; ++w) {
-    stats.num_delta_records += s1_records_[static_cast<size_t>(w)].size();
+  round->stats.degraded_links = static_cast<uint64_t>(std::count_if(
+      link_backoff_until_.begin(), link_backoff_until_.end(),
+      [&](uint64_t until) { return until > round->epoch; }));
+  round->bootstrap =
+      push && (!sweep_valid_ || round->stats.degraded_links > 0);
+  if (push && !round->bootstrap && !ShipDeltas(round, &s2)) {
+    // A link that exhausted its retries is unrecoverable this epoch — the
+    // recovery action is the same replica invalidation + full reship the
+    // churn guard uses, taken in this same iteration.
+    sweep_valid_ = false;
+    round->bootstrap = true;
+    ++round->stats.reship_recoveries;
+    ++counters_.reship_recoveries;
   }
+  if (round->bootstrap) ++num_bootstraps_;
+  round->recompute_all = round->full_scan || !proposals_valid_ ||
+                         !context_ok || round->bootstrap;
+  for (auto& list : recompute_lists_) list.clear();
 
-  // Routers for both exchange flavors (only one carries traffic per mode).
-  MessageRouter<NeighborDataMsg> router2(W);
-  MessageRouter<NeighborDelta> router2d(W);
-  std::vector<uint64_t> s2_send_work(static_cast<size_t>(W), 0);
-  std::vector<uint64_t> s2_recv_work(static_cast<size_t>(W), 0);
-  std::vector<uint64_t> s2_patch_work(static_cast<size_t>(W), 0);
-  SuperstepStats s2;
-
-  if (push && !bootstrap) {
-    // Delta-exchange send: each dirty query's owner ships the sparse
-    // NeighborDelta records produced while folding superstep 1 — O(delta
-    // records × touched workers) on the wire, not O(Σ deg(dirty q) ×
-    // touched workers). Records are grouped by query (the fold emits them
-    // ascending), so the destination mask is computed once per query.
-    s2_send_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
-      const std::vector<NeighborDelta>& records =
-          s1_records_[static_cast<size_t>(w)];
-      size_t i = 0;
-      while (i < records.size()) {
-        size_t j = i;
-        while (j < records.size() && records[j].q == records[i].q) ++j;
-        const VertexId q = records[i].q;
-        std::fill(dst_mask.begin(), dst_mask.end(), 0);
-        for (VertexId v : graph_.QueryNeighbors(q)) {
-          dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
-        }
-        for (int dst = 0; dst < W; ++dst) {
-          if (!dst_mask[static_cast<size_t>(dst)]) continue;
-          for (size_t r = i; r < j; ++r) router2d.Send(w, dst, records[r]);
-          work += j - i;
-        }
-        i = j;
-      }
-      return work;
-    });
-    // Enveloped transfer: every remote delta buffer is encoded under the
-    // grouped varint codec, framed, delivered (through the injector, with
-    // bounded same-sequence retransmission), verified and decoded into
-    // s2_inbox_. A link that exhausts its retries is unrecoverable this
-    // epoch — the recovery action is the same replica invalidation +
-    // full-reship the churn guard uses, taken in this same iteration.
-    if (!TransferEnveloped(epoch, router2d, &s2, &stats)) {
-      sweep_valid_ = false;
-      bootstrap = true;
-      ++stats.reship_recoveries;
-      ++counters_.reship_recoveries;
-    }
-  }
-
-  if (bootstrap) ++num_bootstraps_;
-  const bool recompute_all =
-      full_scan || !proposals_valid_ || !context_ok || bootstrap;
-  for (int w = 0; w < W; ++w) recompute_lists_[static_cast<size_t>(w)].clear();
-  if (!push && recompute_all) {
-    // The pull path's data-side caches hold topology-restricted lists; a
-    // context change may activate buckets they never received, so charge a
-    // full reship (on iteration 0 every query is dirty anyway).
-    std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
-  }
-
-  // Marks owned vertex v for proposal recomputation; true when newly marked.
-  const auto claim = [&](int w, VertexId v) {
-    if (data_owner_[v] != w || recompute_[v]) return false;
-    recompute_[v] = 1;
-    recompute_lists_[static_cast<size_t>(w)].push_back(v);
-    return true;
-  };
-  // Last round's movers recompute unconditionally: their `from` changed even
-  // when offsetting moves cancelled every adjacent count delta. Returns the
-  // number newly marked.
-  const auto claim_movers = [&](int w) {
-    uint64_t marked = 0;
-    for (VertexId v : last_movers_) marked += claim(w, v);
-    return marked;
-  };
-
-  if (!push || bootstrap) {
-    // Full-reship send: dirty queries ship their topology-relevant neighbor
-    // data, one combined message per destination worker. The delta-exchange
-    // bootstrap charges the same volume — the accumulator replicas are built
-    // from exactly this shipment. (Accumulated, not assigned: a failed
-    // enveloped exchange earlier this iteration already charged its send.)
-    const std::vector<uint64_t> reship_send_work =
-        RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
-      for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
-        if (!query_dirty_[q] && !bootstrap) continue;
-        // Pull mode restricts to buckets active in this topology (recursion
-        // sends "at most r values" per §3.3). A delta-exchange bootstrap
-        // ships the *full* lists instead: the accumulator replicas it seeds
-        // are topology-free, which is what lets later recursion levels
-        // re-slice the active window instead of reshipping.
-        uint32_t restricted = query_ndata_.Fanout(q);
-        if (!bootstrap) {
-          restricted = 0;
-          for (const BucketCount& e : query_ndata_.Entries(q)) {
-            restricted +=
-                topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0;
-          }
-        }
-        if (restricted == 0) continue;
-        std::fill(dst_mask.begin(), dst_mask.end(), 0);
-        for (VertexId v : graph_.QueryNeighbors(q)) {
-          dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
-        }
-        for (int dst = 0; dst < W; ++dst) {
-          if (!dst_mask[static_cast<size_t>(dst)]) continue;
-          router2.Send(w, dst, NeighborDataMsg{q, restricted});
-          work += restricted;
-        }
-      }
-      return work;
-    });
-    for (int w = 0; w < W; ++w) {
-      s2_send_work[static_cast<size_t>(w)] +=
-          reship_send_work[static_cast<size_t>(w)];
-    }
-    // Receive: mark data vertices adjacent to dirty queries — plus last
-    // round's movers, whose own `from` changed even if every adjacent count
-    // delta cancelled — for proposal recomputation (unused on a
-    // recompute-all pass).
-    s2_recv_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      for (int src = 0; src < W; ++src) {
-        for (const NeighborDataMsg& m : router2.Incoming(src, w)) {
-          if (!recompute_all) {
-            for (VertexId v : graph_.QueryNeighbors(m.query)) claim(w, v);
-          }
-          work += m.num_entries;
-        }
-      }
-      return recompute_all ? work : work + claim_movers(w);
-    });
-    if (bootstrap) {
-      // Build each data worker's accumulator replica from the shipment: one
-      // vertex-major pass, each worker charged for its own vertices.
-      const std::vector<uint64_t> build_work = sweep_.BuildSharded(
-          graph_, query_ndata_, gain_.pow_table(), data_owner_, W, pool);
-      for (int w = 0; w < W; ++w) {
-        s2_patch_work[static_cast<size_t>(w)] =
-            build_work[static_cast<size_t>(w)];
-      }
-      sweep_valid_ = true;
-      // The reship bypasses the enveloped link protocol, so it doubles as
-      // the protocol resync point: receive sequences jump to the send
-      // sequences and the next delta exchange starts from a clean chain.
-      ResyncLinks();
-    }
+  if (!push || round->bootstrap) {
+    ReshipNeighborData(*round, &s2);
   } else {
     // Receive: each worker consumes its inbox (the transfer merged the
     // per-source runs, so it is ascending (q, bucket) — the order the
     // threaded refiner patches in), marks the blast radius, and patches the
-    // accumulator replicas. The verified transfer above already filled the
-    // inbox — the records here are the *decoded* frames.
-    s2_recv_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      const std::vector<NeighborDelta>& inbox =
-          s2_inbox_[static_cast<size_t>(w)];
-      if (!recompute_all) {
-        VertexId last_q = static_cast<VertexId>(-1);
-        for (const NeighborDelta& rec : inbox) {
-          if (rec.q == last_q) continue;
-          last_q = rec.q;
-          for (VertexId v : graph_.QueryNeighbors(rec.q)) work += claim(w, v);
-        }
-        work += claim_movers(w);
-      }
-      return work;
-    });
-    std::vector<std::span<const NeighborDelta>> inboxes;
-    inboxes.reserve(static_cast<size_t>(W));
-    for (int w = 0; w < W; ++w) {
-      inboxes.emplace_back(s2_inbox_[static_cast<size_t>(w)]);
-    }
-    s2_patch_work = sweep_.ApplyDeltasSharded(graph_, inboxes,
-                                              gain_.pow_table(), &data_owner_,
-                                              pool);
+    // accumulator replicas. The verified transfer already filled the inbox
+    // — the records here are the *decoded* frames.
+    AddWork(&s2, RunPhase(W, pool, [&](int w) -> uint64_t {
+              if (round->recompute_all) return 0;
+              uint64_t work = 0;
+              VertexId last_q = static_cast<VertexId>(-1);
+              for (const NeighborDelta& rec :
+                   s2_inbox_[static_cast<size_t>(w)]) {
+                if (rec.q == last_q) continue;
+                last_q = rec.q;
+                for (VertexId v : graph_.QueryNeighbors(rec.q)) {
+                  work += Claim(w, v);
+                }
+              }
+              return work + ClaimMovers(w);
+            }));
+    std::vector<std::span<const NeighborDelta>> inboxes(s2_inbox_.begin(),
+                                                        s2_inbox_.end());
+    AddWork(&s2, sweep_.ApplyDeltasSharded(graph_, inboxes, gain_.pow_table(),
+                                           &data_owner_, pool));
   }
 
   // Proposal recomputation: the proposal function the threaded Refiner
   // runs, reading the query replicas (pull) or the accumulator replicas
-  // (push), charged as the entries it scans.
-  const ProposalSource source{gain_, graph_, *partition, query_ndata_,
+  // (push), charged as the entries it scans. A recompute-all pass covers
+  // every owned vertex, a steady pass only the claimed blast radius.
+  const ProposalSource source{gain_, graph_, *round->partition, query_ndata_,
                               push ? &sweep_ : nullptr};
-  const ProposalRule rule{topo, anchor, anchor_penalty,
+  const ProposalRule rule{round->topo, round->anchor, round->anchor_penalty,
                           options_.propose_nonpositive};
-  const auto recompute_vertex = [&](int w, VertexId v, uint64_t* work) {
-    const Proposal proposal =
-        ComputeProposal(source, rule, v, /*explore_target=*/-1,
-                        &proposal_scratch_[static_cast<size_t>(w)], work);
-    cached_target_[v] = proposal.target;
-    cached_gain_[v] = proposal.gain;
-  };
-
-  // A recompute-all pass covers every owned vertex, a steady pass only the
-  // claimed blast radius.
   const std::vector<std::vector<VertexId>>& work_lists =
-      recompute_all ? data_shards_ : recompute_lists_;
-  const std::vector<uint64_t> s2_gain_work =
-      RunPhase(W, pool, [&](int w) -> uint64_t {
-        uint64_t work = 0;
-        for (VertexId v : work_lists[static_cast<size_t>(w)]) {
-          recompute_vertex(w, v, &work);
-        }
-        return work;
-      });
-  for (int w = 0; w < W; ++w) {
-    stats.num_recomputed += work_lists[static_cast<size_t>(w)].size();
+      round->recompute_all ? data_shards_ : recompute_lists_;
+  AddWork(&s2, RunPhase(W, pool, [&](int w) -> uint64_t {
+            uint64_t work = 0;
+            for (VertexId v : work_lists[static_cast<size_t>(w)]) {
+              const Proposal proposal = ComputeProposal(
+                  source, rule, v, /*explore_target=*/-1,
+                  &proposal_scratch_[static_cast<size_t>(w)], &work);
+              cached_target_[v] = proposal.target;
+              cached_gain_[v] = proposal.gain;
+            }
+            return work;
+          }));
+  for (const auto& list : work_lists) {
+    round->stats.num_recomputed += list.size();
   }
   proposals_valid_ = true;
 
-  // Queries consumed their dirty flag by sending.
-  RunPhase(W, pool, [&](int w) -> uint64_t {
-    for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
-      query_dirty_[q] = 0;
-    }
-    return 0;
-  });
-
-  s2.label = push && !bootstrap ? "2:ship-deltas+gains"
-                                : "2:ship-neighbor-data+gains";
-  s2.superstep = base_superstep + 1;
-  s2.traffic = router2.CollectAndClearSized([](const NeighborDataMsg& m) {
-    return sizeof(VertexId) + m.num_entries * sizeof(BucketCount);
-  });
-  // Delta records go on the wire under the grouped varint codec; the payload
-  // byte series counts exactly the grouped stream, with the envelope framing
-  // tracked separately in s2.envelope_bytes so the series stays comparable
-  // across the protocol change. The accounting replays the per-link payload
-  // sizes the enveloped transfer recorded instead of re-encoding every
-  // buffer. Only a transfer fills router2d, so a nonempty buffer always has
-  // this epoch's size recorded (and an empty one encodes to zero bytes).
-  s2.traffic += router2d.CollectAndClearPerLink(
-      [this](int src, int dst, const std::vector<NeighborDelta>& buffer) {
-        return buffer.empty() ? uint64_t{0}
-                              : link_payload_bytes_[LinkIndex(src, dst)];
-      });
-  s2.work_units.resize(static_cast<size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    s2.work_units[static_cast<size_t>(w)] =
-        s2_send_work[static_cast<size_t>(w)] +
-        s2_recv_work[static_cast<size_t>(w)] +
-        s2_patch_work[static_cast<size_t>(w)] +
-        s2_gain_work[static_cast<size_t>(w)];
-  }
+  s2.label = push && !round->bootstrap ? "2:ship-deltas+gains"
+                                       : "2:ship-neighbor-data+gains";
   // Worker stall: a straggler's extra work units gate the simulated epoch
   // time (slowest worker holds the barrier) without touching any exchanged
   // data — the trajectory is unchanged by construction.
   if (!injector_.empty()) {
     for (int w = 0; w < W; ++w) {
-      const uint64_t stall = injector_.StallWorkUnits(epoch, w);
+      const uint64_t stall = injector_.StallWorkUnits(round->epoch, w);
       if (stall == 0) continue;
       s2.work_units[static_cast<size_t>(w)] += stall;
-      ++stats.stalled_workers;
+      ++round->stats.stalled_workers;
       ++counters_.stalled_workers;
     }
   }
@@ -596,8 +411,156 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   CheckCachedProposals(source, rule, nullptr, cached_target_, cached_gain_,
                        pool);
 #endif
+  return s2;
+}
 
-  // ---------------------------------------------------------------- S3 ---
+bool BspRefiner::ShipDeltas(Round* round, SuperstepStats* s2) {
+  const int W = config_.num_workers;
+  MessageRouter<NeighborDelta> router(W);
+  // Delta-exchange send: each dirty query's owner ships the sparse
+  // NeighborDelta records produced while folding superstep 1 — O(delta
+  // records × touched workers) on the wire, not O(Σ deg(dirty q) × touched
+  // workers). Records are grouped by query (the fold emits them ascending),
+  // so the destination mask is computed once per query.
+  AddWork(s2, RunPhase(W, round->pool, [&](int w) -> uint64_t {
+            uint64_t work = 0;
+            std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
+            const std::vector<NeighborDelta>& records =
+                s1_records_[static_cast<size_t>(w)];
+            size_t i = 0;
+            while (i < records.size()) {
+              size_t j = i;
+              while (j < records.size() && records[j].q == records[i].q) ++j;
+              std::fill(dst_mask.begin(), dst_mask.end(), 0);
+              for (VertexId v : graph_.QueryNeighbors(records[i].q)) {
+                dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
+              }
+              for (int dst = 0; dst < W; ++dst) {
+                if (!dst_mask[static_cast<size_t>(dst)]) continue;
+                for (size_t r = i; r < j; ++r) router.Send(w, dst, records[r]);
+                work += j - i;
+              }
+              i = j;
+            }
+            return work;
+          }));
+  // Enveloped transfer: every remote delta buffer is encoded under the
+  // grouped varint codec, framed, delivered (through the injector, with
+  // bounded same-sequence retransmission), verified and decoded into
+  // s2_inbox_.
+  const bool delivered =
+      TransferEnveloped(round->epoch, router, s2, &round->stats);
+  // The payload byte series counts exactly the grouped varint stream, with
+  // the envelope framing tracked separately in s2.envelope_bytes so the
+  // series stays comparable across the protocol change. The accounting
+  // replays the per-link payload sizes the transfer recorded instead of
+  // re-encoding every buffer (an empty buffer encodes to zero bytes).
+  s2->traffic += router.CollectAndClear(
+      [this](int src, int dst, const std::vector<NeighborDelta>& buffer) {
+        return buffer.empty() ? uint64_t{0}
+                              : link_payload_bytes_[LinkIndex(src, dst)];
+      });
+  return delivered;
+}
+
+void BspRefiner::ReshipNeighborData(const Round& round, SuperstepStats* s2) {
+  const int W = config_.num_workers;
+  MessageRouter<NeighborDataMsg> router(W);
+  // Full-reship send: dirty queries ship their topology-relevant neighbor
+  // data, one combined message per destination worker. On a steady pull
+  // round the dirty queries are those this round's fold touched. On a
+  // recompute-all round every query is dirty: the pull path's data-side
+  // caches hold topology-restricted lists, and a context change may
+  // activate buckets they never received (on iteration 0 every query is
+  // dirty anyway). The delta-exchange bootstrap charges the same volume —
+  // the accumulator replicas are built from exactly this shipment.
+  const std::vector<std::vector<VertexId>>& dirty =
+      round.recompute_all ? query_shards_ : s1_touched_;
+  AddWork(s2, RunPhase(W, round.pool, [&](int w) -> uint64_t {
+            uint64_t work = 0;
+            std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
+            for (VertexId q : dirty[static_cast<size_t>(w)]) {
+              // Pull mode restricts to buckets active in this topology
+              // (recursion sends "at most r values" per §3.3). A
+              // delta-exchange bootstrap ships the *full* lists instead: the
+              // accumulator replicas it seeds are topology-free, which is
+              // what lets later recursion levels re-slice the active window
+              // instead of reshipping.
+              uint32_t restricted = query_ndata_.Fanout(q);
+              if (!round.bootstrap) {
+                restricted = 0;
+                for (const BucketCount& e : query_ndata_.Entries(q)) {
+                  restricted +=
+                      round.topo.group_of_bucket[static_cast<size_t>(
+                          e.bucket)] >= 0;
+                }
+              }
+              if (restricted == 0) continue;
+              std::fill(dst_mask.begin(), dst_mask.end(), 0);
+              for (VertexId v : graph_.QueryNeighbors(q)) {
+                dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
+              }
+              for (int dst = 0; dst < W; ++dst) {
+                if (!dst_mask[static_cast<size_t>(dst)]) continue;
+                router.Send(w, dst, NeighborDataMsg{q, restricted});
+                work += restricted;
+              }
+            }
+            return work;
+          }));
+  // Receive: mark data vertices adjacent to dirty queries — plus last
+  // round's movers — for proposal recomputation (unused on a recompute-all
+  // pass).
+  AddWork(s2, RunPhase(W, round.pool, [&](int w) -> uint64_t {
+            uint64_t work = 0;
+            for (int src = 0; src < W; ++src) {
+              for (const NeighborDataMsg& m : router.Incoming(src, w)) {
+                if (!round.recompute_all) {
+                  for (VertexId v : graph_.QueryNeighbors(m.query)) {
+                    Claim(w, v);
+                  }
+                }
+                work += m.num_entries;
+              }
+            }
+            return round.recompute_all ? work : work + ClaimMovers(w);
+          }));
+  s2->traffic += router.CollectAndClear(
+      [](int, int, const std::vector<NeighborDataMsg>& buffer) {
+        uint64_t bytes = 0;
+        for (const NeighborDataMsg& m : buffer) {
+          bytes += sizeof(VertexId) + m.num_entries * sizeof(BucketCount);
+        }
+        return bytes;
+      });
+  if (!round.bootstrap) return;
+  // Build each data worker's accumulator replica from the shipment: one
+  // vertex-major pass, each worker charged for its own vertices.
+  AddWork(s2, sweep_.BuildSharded(graph_, query_ndata_, gain_.pow_table(),
+                                  data_owner_, W, round.pool));
+  sweep_valid_ = true;
+  // The reship bypasses the enveloped link protocol, so it doubles as the
+  // protocol resync point: receive sequences jump to the send sequences and
+  // the next delta exchange starts from a clean chain.
+  ResyncLinks();
+}
+
+bool BspRefiner::Claim(int w, VertexId v) {
+  if (data_owner_[v] != w || recompute_[v]) return false;
+  recompute_[v] = 1;
+  recompute_lists_[static_cast<size_t>(w)].push_back(v);
+  return true;
+}
+
+uint64_t BspRefiner::ClaimMovers(int w) {
+  uint64_t marked = 0;
+  for (const VertexMove& m : pending_announce_) marked += Claim(w, m.v);
+  return marked;
+}
+
+SuperstepStats BspRefiner::ProposeToMaster(Round* round) {
+  const int W = config_.num_workers;
+  const Partition& partition = *round->partition;
   // data -> master: per-worker (bucket-pair, gain-bin) histograms — one
   // shard of the master state MoveBroker keeps, written only by its worker —
   // maintained incrementally from the compact changed-proposal list. Each
@@ -605,139 +568,104 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // needs every pair's totals — so bytes stay O(active pairs × bins); only
   // the accumulation work shrinks to the blast radius.
   const GainBinning& binning = options_.broker.binning;
-  const auto update_hist = [&](int w, VertexId v) {
-    hist_.Update(static_cast<size_t>(w), v, partition->bucket_of(v),
-                 cached_target_[v], cached_gain_[v]);
-  };
-  std::vector<uint64_t> s3_work;
-  if (recompute_all || !hist_valid_) {
-    hist_.Reset(static_cast<size_t>(W), graph_.num_data(), binning);
-    s3_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      const std::vector<VertexId>& shard = data_shards_[static_cast<size_t>(w)];
-      for (VertexId v : shard) update_hist(w, v);
-      return shard.size();
-    });
-    hist_valid_ = true;
-  } else {
-    s3_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      const std::vector<VertexId>& list =
-          recompute_lists_[static_cast<size_t>(w)];
-      for (VertexId v : list) update_hist(w, v);
-      return 2 * list.size();
-    });
-  }
-  // Emptied pairs leave the upload; the master is a distinct machine, so
-  // every remaining histogram entry crosses the wire.
-  uint64_t s3_remote_entries = 0;
-  for (int w = 0; w < W; ++w) {
-    hist_.Prune(static_cast<size_t>(w));
-    s3_remote_entries += hist_.num_pairs(static_cast<size_t>(w)) *
-                         static_cast<uint64_t>(binning.num_bins());
-  }
-#ifndef NDEBUG
-  hist_.CheckAgainst(cached_target_, cached_gain_, *partition);
-#endif
-
+  const bool rebuild = round->recompute_all || !hist_valid_;
+  if (rebuild) hist_.Reset(static_cast<size_t>(W), graph_.num_data(), binning);
+  const std::vector<std::vector<VertexId>>& lists =
+      rebuild ? data_shards_ : recompute_lists_;
   SuperstepStats s3;
   s3.label = "3:propose-to-master";
-  s3.superstep = base_superstep + 2;
-  s3.traffic.remote_messages = s3_remote_entries;
-  s3.traffic.remote_bytes = s3_remote_entries * sizeof(uint64_t);
-  s3.work_units = s3_work;
+  // A rebuild charges one unit per owned vertex, an update two per changed
+  // proposal (its old contribution out, its new one in).
+  s3.work_units = RunPhase(W, round->pool, [&](int w) -> uint64_t {
+    const std::vector<VertexId>& list = lists[static_cast<size_t>(w)];
+    for (VertexId v : list) {
+      hist_.Update(static_cast<size_t>(w), v, partition.bucket_of(v),
+                   cached_target_[v], cached_gain_[v]);
+    }
+    return (rebuild ? 1 : 2) * list.size();
+  });
+  hist_valid_ = true;
+  // Emptied pairs leave the upload; the master is a distinct machine, so
+  // every remaining histogram entry crosses the wire.
+  for (int w = 0; w < W; ++w) {
+    hist_.Prune(static_cast<size_t>(w));
+    s3.traffic.remote_messages += hist_.num_pairs(static_cast<size_t>(w)) *
+                                  static_cast<uint64_t>(binning.num_bins());
+  }
+  s3.traffic.remote_bytes = s3.traffic.remote_messages * sizeof(uint64_t);
+#ifndef NDEBUG
+  hist_.CheckAgainst(cached_target_, cached_gain_, partition);
+#endif
+  return s3;
+}
 
-  // ---------------------------------------------------------------- S4 ---
+SuperstepStats BspRefiner::MoveAndCheckpoint(Round* round) {
+  const int W = config_.num_workers;
+  Partition* partition = round->partition;
   // master -> data: probabilities; vertices draw and move; master repairs —
   // the threaded broker's draw and execution. The drawn movers land in
   // compact per-worker lists, so execution, repair, and next round's
   // superstep 1 touch O(moved) state.
   const PairProbabilityTable table =
-      ComputePairProbabilities(topo, binning, hist_.Merged(), *partition,
+      ComputePairProbabilities(round->topo, options_.broker.binning,
+                               hist_.Merged(), *partition,
                                options_.broker.use_capacity_slack);
-  const MoveDraw draw =
-      MoveDraw::Matched(table, options_.broker, seed, iteration);
-  std::vector<uint64_t> s4_draws(static_cast<size_t>(W), 0);
-  for (int w = 0; w < W; ++w) mover_lists_[static_cast<size_t>(w)].clear();
-  std::vector<uint64_t> s4_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+  const MoveDraw draw = MoveDraw::Matched(table, options_.broker, round->seed,
+                                          round->iteration);
+  SuperstepStats s4;
+  s4.label = "4:probabilities+moves";
+  std::vector<uint64_t> draws(static_cast<size_t>(W), 0);
+  for (auto& list : mover_lists_) list.clear();
+  s4.work_units = RunPhase(W, round->pool, [&](int w) -> uint64_t {
     const MoveDraw::Tally tally =
         draw.Run(data_shards_[static_cast<size_t>(w)], cached_target_,
                  cached_gain_, *partition,
                  &mover_lists_[static_cast<size_t>(w)]);
-    s4_draws[static_cast<size_t>(w)] = tally.draws;
+    draws[static_cast<size_t>(w)] = tally.draws;
     return tally.proposals;
   });
-  for (int w = 0; w < W; ++w) {
-    stats.num_draws += s4_draws[static_cast<size_t>(w)];
+  // Broadcast: the probability table goes to every worker.
+  for (const auto& [key, probs] : table.probabilities) {
+    s4.traffic.remote_bytes += sizeof(uint64_t) + probs.size() * sizeof(float);
   }
+  s4.traffic.remote_bytes *= static_cast<uint64_t>(W);
+  s4.traffic.remote_messages =
+      table.probabilities.size() * static_cast<uint64_t>(W);
 
   MoveOutcome outcome;
   outcome.num_proposals = hist_.num_proposals();
-  MoveBroker::ExecuteMoves(topo, cached_target_, cached_gain_,
+  outcome.num_draws = std::accumulate(draws.begin(), draws.end(), uint64_t{0});
+  MoveBroker::ExecuteMoves(round->topo, cached_target_, cached_gain_,
                            options_.broker.max_moves_per_round, mover_lists_,
                            &movers_, &original_, partition, &outcome);
+  round->stats.RecordOutcome(outcome, graph_.num_data());
   pending_announce_ = std::move(outcome.moves);
-  last_movers_.clear();
-  for (const VertexMove& m : pending_announce_) last_movers_.push_back(m.v);
   state_valid_ = true;
-  if (push &&
-      static_cast<double>(pending_announce_.size()) >
-          options_.incremental_rebuild_fraction *
-              static_cast<double>(graph_.num_data())) {
-    // High-churn fallback (mirrors the threaded refiner): with this many
+  if (round->push &&
+      options_.HighChurn(pending_announce_.size(), graph_.num_data())) {
+    // High-churn fallback (the threaded refiner's rule): with this many
     // moved pins, the delta records outweigh the full restricted lists and
     // patching costs more than rebuilding — drop the accumulator replicas
     // and re-bootstrap next iteration.
     sweep_valid_ = false;
   }
-
   // Clear this round's recompute marks through the compact lists — the mark
   // array stays all-zero between iterations without an O(n) sweep.
-  for (int w = 0; w < W; ++w) {
-    for (VertexId v : recompute_lists_[static_cast<size_t>(w)]) {
-      recompute_[v] = 0;
-    }
+  for (const auto& list : recompute_lists_) {
+    for (VertexId v : list) recompute_[v] = 0;
   }
-
-  SuperstepStats s4;
-  s4.label = "4:probabilities+moves";
-  s4.superstep = base_superstep + 3;
-  // Broadcast: the probability table goes to every worker.
-  uint64_t table_bytes = 0;
-  for (const auto& [key, probs] : table.probabilities) {
-    table_bytes += sizeof(uint64_t) + probs.size() * sizeof(float);
-  }
-  s4.traffic.remote_messages = table.probabilities.size() *
-                               static_cast<uint64_t>(W);
-  s4.traffic.remote_bytes = table_bytes * static_cast<uint64_t>(W);
-  s4.work_units = s4_work;
-
-  if (log_ != nullptr) {
-    log_->push_back(std::move(s1));
-    log_->push_back(std::move(s2));
-    log_->push_back(std::move(s3));
-    log_->push_back(std::move(s4));
-  }
-
-  stats.num_proposals = outcome.num_proposals;
-  stats.num_moved = outcome.num_moved;
-  stats.num_reverted = outcome.num_reverted;
-  stats.gain_moved = outcome.gain_moved;
-  stats.moved_fraction =
-      graph_.num_data() == 0
-          ? 0.0
-          : static_cast<double>(outcome.num_moved) /
-                static_cast<double>(graph_.num_data());
 
   // Epoch checkpoint: the full partition assignment plus the stats subset
   // the caller's convergence loop consumes, written after the moves so a
   // restore replays from the next epoch. A write failure degrades durability
   // (older checkpoints remain), never the run.
   if (checkpoints_ != nullptr && config_.checkpoint_interval > 0 &&
-      epoch % static_cast<uint64_t>(config_.checkpoint_interval) == 0) {
+      round->epoch % static_cast<uint64_t>(config_.checkpoint_interval) == 0) {
     CheckpointData ckpt;
-    ckpt.epoch = epoch;
-    ckpt.num_moved = stats.num_moved;
-    ckpt.gain_moved = stats.gain_moved;
-    ckpt.moved_fraction = stats.moved_fraction;
+    ckpt.epoch = round->epoch;
+    ckpt.num_moved = round->stats.num_moved;
+    ckpt.gain_moved = round->stats.gain_moved;
+    ckpt.moved_fraction = round->stats.moved_fraction;
     ckpt.k = static_cast<uint32_t>(partition->k());
     ckpt.assignment = partition->assignment();
     const Status ckpt_status = checkpoints_->Write(ckpt);
@@ -748,11 +676,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
                        << ckpt_status.ToString();
     }
   }
-  // Epoch boundary: everything of this iteration — moves, repair,
-  // checkpoint — is committed; external observers (the serving loop's
-  // migration bookkeeping) hook in here.
-  if (config_.on_epoch_end) config_.on_epoch_end(epoch, stats.num_moved);
-  return stats;
+  return s4;
 }
 
 bool BspRefiner::TransferEnveloped(uint64_t epoch,
@@ -874,6 +798,7 @@ bool BspRefiner::TransferEnveloped(uint64_t epoch,
       }
     }
   }
+  counters_.faults_injected = injector_.faults_injected();
   return all_ok;
 }
 
@@ -882,6 +807,17 @@ void BspRefiner::ResyncLinks() {
     link_recv_seq_[l] = link_send_seq_[l];
     link_last_wire_[l].clear();
   }
+}
+
+void BspRefiner::ResetLinks() {
+  const size_t links = static_cast<size_t>(config_.num_workers) *
+                       static_cast<size_t>(config_.num_workers);
+  link_send_seq_.assign(links, 0);
+  link_recv_seq_.assign(links, 0);
+  link_last_wire_.assign(links, {});
+  link_fail_streak_.assign(links, 0);
+  link_backoff_until_.assign(links, 0);
+  link_backoff_len_.assign(links, std::max(config_.link_backoff_epochs, 1));
 }
 
 Status BspRefiner::RestoreLatestCheckpoint(Partition* partition) {
@@ -912,17 +848,9 @@ Status BspRefiner::RestoreLatestCheckpoint(Partition* partition) {
   // The cold full scan re-folds every vertex against before = -1, which only
   // ever *adds* counts — stale replica content must go first.
   query_ndata_.Clear(graph_.num_queries());
-  std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   pending_announce_.clear();
-  last_movers_.clear();
   epoch_ = restored_epoch + 1;
-  std::fill(link_send_seq_.begin(), link_send_seq_.end(), 0);
-  std::fill(link_recv_seq_.begin(), link_recv_seq_.end(), 0);
-  for (auto& wire_image : link_last_wire_) wire_image.clear();
-  std::fill(link_fail_streak_.begin(), link_fail_streak_.end(), 0);
-  std::fill(link_backoff_until_.begin(), link_backoff_until_.end(), 0);
-  std::fill(link_backoff_len_.begin(), link_backoff_len_.end(),
-            std::max(config_.link_backoff_epochs, 1));
+  ResetLinks();
   ++counters_.rollbacks;
   return Status::Ok();
 }

@@ -1,12 +1,14 @@
 // SHP as a vertex-centric BSP program — the faithful counterpart of the
 // paper's Giraph implementation (§3.2, Fig. 3). One refinement iteration is
-// four supersteps with synchronization barriers:
+// four supersteps with synchronization barriers, one member function each,
+// which RunIteration calls in order:
 //
-//   1. data → query : current bucket (delta messages; a vertex that did not
-//      move "does not send messages on superstep 1 for the next iteration").
+//   1. CollectNeighborData — data → query : current bucket (delta
+//      messages; a vertex that did not move "does not send messages on
+//      superstep 1 for the next iteration").
 //      Query owners fold the deltas into their sparse neighbor data with
 //      the threaded Refiner's fold (QueryNeighborData::ApplyDeltas).
-//   2. query → data : two exchange modes, selected by
+//   2. ExchangeAndPropose — query → data : two exchange modes, selected by
 //      RefinerOptions::sweep_mode (the same switch that picks the threaded
 //      Refiner's scan direction):
 //        * pull (kPull, and the fallback whenever push is unsupported) —
@@ -32,22 +34,24 @@
 //      In either mode, clean vertices keep their cached proposal — their
 //      gains cannot have changed. Every proposal is the argmax target:
 //      RefinerOptions::exploration_probability is not implemented here.
-//   3. data → master: per-worker (bucket-pair, gain-bin) histograms. The
-//      histograms are maintained *incrementally* from the compact
+//   3. ProposeToMaster — data → master: per-worker (bucket-pair, gain-bin)
+//      histograms, maintained *incrementally* from the compact
 //      changed-proposal list (this round's recomputed vertices), so the
 //      accumulation work is O(blast radius), not O(n); each worker still
 //      ships its full live histogram (that is what the master's matching
 //      needs) — bytes are O(active pairs × bins), independent of n.
-//   4. master → data: per-pair-and-bin move probabilities; vertices draw and
-//      move (proposals whose probability row is all zero skip the draw —
-//      the trajectory-preserving draw floor); the drawn movers are
-//      collected into compact per-worker lists, so move execution, balance
-//      repair, and the next superstep 1 all touch O(moved) state instead of
-//      rescanning n-sized arrays.
+//   4. MoveAndCheckpoint — master → data: per-pair-and-bin move
+//      probabilities; vertices draw and move (proposals whose probability
+//      row is all zero skip the draw — the trajectory-preserving draw
+//      floor); the drawn movers are collected into compact per-worker
+//      lists, so move execution, balance repair, and the next superstep 1
+//      all touch O(moved) state instead of rescanning n-sized arrays. The
+//      epoch checkpoint is written here too.
 //
 // This class implements only the distributed parts — sharding, the
-// superstep-1 combiner, the superstep-2 exchange, fault recovery,
-// checkpoints, and the per-worker byte and work-unit accounting. Algorithm 1
+// superstep-1 combiner (CombineDeltas on each router cell), the superstep-2
+// exchange (ShipDeltas, ReshipNeighborData), fault recovery, checkpoints,
+// and the exact byte and per-worker work-unit accounting. Algorithm 1
 // itself is shared with the threaded Refiner: superstep 1 folds with
 // QueryNeighborData::ApplyDeltas into the query replicas (one NeighborDelta
 // per changed (query, bucket), whatever the worker count), superstep 2
@@ -149,6 +153,9 @@ class BspRefiner : public RefinerInterface {
   /// values are in IterationStats).
   struct FaultCounters {
     uint64_t faults_detected = 0;
+    /// Wire faults the injector applied (FaultInjector::faults_injected);
+    /// every one of them must be detected.
+    uint64_t faults_injected = 0;
     uint64_t retransmits = 0;
     uint64_t reship_recoveries = 0;
     uint64_t workers_recovered = 0;
@@ -167,14 +174,66 @@ class BspRefiner : public RefinerInterface {
   Status RestoreLatestCheckpoint(Partition* partition);
 
  private:
+  /// Iteration-local state the four supersteps share: RunIteration's
+  /// arguments, the modes an earlier superstep decides for the later ones,
+  /// and the iteration's stats.
+  struct Round {
+    const MoveTopology& topo;
+    Partition* partition;
+    uint64_t seed;
+    uint64_t iteration;
+    ThreadPool* pool;
+    const std::vector<BucketId>* anchor;
+    double anchor_penalty;
+    uint64_t epoch;  ///< protocol epoch (see epoch_)
+    bool push;       ///< delta exchange + push sweep (fixed per instance)
+    bool full_scan = false;      ///< S1 announced by the per-vertex diff scan
+    bool bootstrap = false;      ///< S2 reshipped and rebuilt the replicas
+    bool recompute_all = false;  ///< S2 recomputed every proposal
+    IterationStats stats{};
+  };
+
+  // ---- the four supersteps, each ending at its barrier ----
+
+  /// S1: rebuilds killed workers, announces changed buckets to the query
+  /// owners over the combined wire, and folds them into the query replicas.
+  SuperstepStats CollectNeighborData(Round* round);
+  /// S2: ships the fold's delta records (or reships neighbor data), patches
+  /// or builds the accumulator replicas, and recomputes the proposals of the
+  /// blast radius.
+  SuperstepStats ExchangeAndPropose(Round* round);
+  /// S3: updates and uploads the per-worker master histograms.
+  SuperstepStats ProposeToMaster(Round* round);
+  /// S4: draws and executes the moves, repairs balance, and writes the
+  /// epoch checkpoint when due.
+  SuperstepStats MoveAndCheckpoint(Round* round);
+
+  // ---- superstep-2 pieces ----
+
+  /// Delta-exchange send and enveloped transfer. Returns false when some
+  /// link exhausted its retries.
+  bool ShipDeltas(Round* round, SuperstepStats* s2);
+  /// Full-reship send and receive, and on a bootstrap the accumulator
+  /// replica build.
+  void ReshipNeighborData(const Round& round, SuperstepStats* s2);
+  /// Marks vertex v, if worker w owns it, for proposal recomputation; true
+  /// when newly marked.
+  bool Claim(int w, VertexId v);
+  /// Claims last round's movers (pending_announce_) owned by w: a mover's
+  /// `from` changed even when offsetting moves cancel all of its queries'
+  /// count deltas (A→B and B→A among one query's pins), in which case no
+  /// touched query or delta record would ever reach it. Returns the number
+  /// newly marked.
+  uint64_t ClaimMovers(int w);
+
   // ---- fault-tolerant superstep protocol ----
 
   size_t LinkIndex(int src, int dst) const {
     return static_cast<size_t>(src) * config_.num_workers + dst;
   }
 
-  /// Delivers every remote router2d buffer as an enveloped frame through the
-  /// fault injector with bounded same-sequence retransmission, filling
+  /// Delivers every remote delta-router buffer as an enveloped frame through
+  /// the fault injector with bounded same-sequence retransmission, filling
   /// s2_inbox_ (each source's run merged in, so every inbox is ascending
   /// (q, bucket); locals copied verbatim) and link_payload_bytes_. Returns
   /// true when every link delivered; false when some link exhausted its
@@ -187,6 +246,10 @@ class BspRefiner : public RefinerInterface {
   /// link protocol, so receive sequences jump to the send sequences and the
   /// stale-frame history is dropped.
   void ResyncLinks();
+
+  /// Restarts the link protocol from scratch (construction and checkpoint
+  /// restore): sequences, frame history, failure streaks and backoff.
+  void ResetLinks();
 
   const BipartiteGraph& graph_;
   RefinerOptions options_;
@@ -202,17 +265,11 @@ class BspRefiner : public RefinerInterface {
   // structures below are the simulation's stand-in for that per-worker
   // memory.
   QueryNeighborData query_ndata_;
-  std::vector<uint8_t> query_dirty_;
   std::vector<BucketId> known_assignment_;  ///< last state sent upstream
-  /// Net executed moves of the previous superstep 4, still to be announced
-  /// on the next superstep 1 — the compact replacement for the per-vertex
-  /// "did I move" rescan.
+  /// Net executed moves of the previous superstep 4, announced on the next
+  /// superstep 1 — the compact replacement for the per-vertex "did I move"
+  /// rescan — and always recomputed in the next superstep 2 (ClaimMovers).
   std::vector<VertexMove> pending_announce_;
-  /// Last round's net movers: always recomputed in superstep 2. A mover's
-  /// `from` changed even when offsetting moves cancel all of its queries'
-  /// count deltas (A→B and B→A among one query's pins), in which case no
-  /// dirty flag or delta record would ever reach it.
-  std::vector<VertexId> last_movers_;
   bool state_valid_ = false;  ///< known_assignment_/query_ndata_ live
 
   // Data-worker accumulator replicas (delta-exchange mode): per-vertex
@@ -253,10 +310,11 @@ class BspRefiner : public RefinerInterface {
 
   // Reusable per-iteration scratch (satellite of the delta-exchange work:
   // none of these are reallocated per call).
-  MessageCombiner s1_combiner_;
+  MessageRouter<BucketDeltaMsg> s1_router_;  ///< combined in place per cell
   std::vector<std::vector<VertexId>> announce_lists_;  ///< movers per owner
   std::vector<BucketDeltaMsg> s1_inbox_;    ///< one query owner's messages
-  std::vector<VertexId> s1_touched_;        ///< queries the fold touched
+  /// Queries each owner's fold touched, ascending (a pull round's dirty set).
+  std::vector<std::vector<VertexId>> s1_touched_;
   std::vector<std::vector<NeighborDelta>> s1_records_;  ///< per query owner
   std::vector<std::vector<NeighborDelta>> s2_inbox_;    ///< per data worker
   std::vector<uint8_t> recompute_;  ///< per-vertex mark, zeroed after use

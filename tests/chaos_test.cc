@@ -130,6 +130,8 @@ TEST_P(ChaosMatrix, DetectsRecoversAndKeepsTrajectory) {
     } else {
       EXPECT_GT(c.faults_detected, 0u)
           << "an injected wire fault must be detected";
+      EXPECT_EQ(c.faults_detected, c.faults_injected)
+          << "every injected wire fault must be detected";
       if (kind == FaultKind::kDuplicateBuffer) {
         // The first copy is accepted; the duplicate is flagged and ignored —
         // no retransmission is needed.

@@ -25,13 +25,21 @@
 namespace shp {
 namespace {
 
+/// Per-link byte function for CollectAndClear: `bytes` per message.
+template <typename Message>
+auto BytesPerMessage(size_t bytes) {
+  return [bytes](int, int, const std::vector<Message>& buffer) {
+    return buffer.size() * bytes;
+  };
+}
+
 TEST(MessageRouter, SeparatesLocalFromRemote) {
   MessageRouter<int> router(3);
   router.Send(0, 0, 1);  // local
   router.Send(0, 1, 2);  // remote
   router.Send(2, 1, 3);  // remote
   EXPECT_EQ(router.Incoming(0, 1).size(), 1u);
-  const RouteStats stats = router.CollectAndClear(4);
+  const RouteStats stats = router.CollectAndClear(BytesPerMessage<int>(4));
   EXPECT_EQ(stats.local_messages, 1u);
   EXPECT_EQ(stats.remote_messages, 2u);
   EXPECT_EQ(stats.remote_bytes, 8u);
@@ -39,22 +47,18 @@ TEST(MessageRouter, SeparatesLocalFromRemote) {
   EXPECT_TRUE(router.Incoming(0, 1).empty());
 }
 
+/// Per-link byte function summing each message's payload size.
+uint64_t PayloadBytes(int, int, const std::vector<std::vector<int>>& buffer) {
+  uint64_t bytes = 0;
+  for (const std::vector<int>& m : buffer) bytes += m.size() * sizeof(int);
+  return bytes;
+}
+
 TEST(MessageRouter, SizedCollection) {
   MessageRouter<std::vector<int>> router(2);
   router.Send(0, 1, {1, 2, 3});
-  const RouteStats stats = router.CollectAndClearSized(
-      [](const std::vector<int>& m) { return m.size() * sizeof(int); });
+  const RouteStats stats = router.CollectAndClear(PayloadBytes);
   EXPECT_EQ(stats.remote_bytes, 12u);
-}
-
-TEST(MessageRouter, PerWorkerByteCounters) {
-  MessageRouter<int> router(2);
-  router.Send(0, 1, 5);
-  router.CollectAndClear(10);
-  EXPECT_EQ(router.out_bytes()[0], 10u);
-  EXPECT_EQ(router.in_bytes()[1], 10u);
-  router.ResetByteCounters();
-  EXPECT_EQ(router.out_bytes()[0], 0u);
 }
 
 TEST(MessageRouter, SizedCollectionCountsOnlyRemoteBytes) {
@@ -63,51 +67,42 @@ TEST(MessageRouter, SizedCollectionCountsOnlyRemoteBytes) {
   MessageRouter<std::vector<int>> router(2);
   router.Send(0, 0, {1, 2, 3, 4});  // local
   router.Send(1, 0, {5});           // remote
-  const RouteStats stats = router.CollectAndClearSized(
-      [](const std::vector<int>& m) { return m.size() * sizeof(int); });
+  const RouteStats stats = router.CollectAndClear(PayloadBytes);
   EXPECT_EQ(stats.local_messages, 1u);
   EXPECT_EQ(stats.remote_messages, 1u);
   EXPECT_EQ(stats.remote_bytes, 4u);
-  EXPECT_EQ(router.out_bytes()[0], 0u) << "local bytes never hit the wire";
-  EXPECT_EQ(router.out_bytes()[1], 4u);
-  EXPECT_EQ(router.in_bytes()[0], 4u);
 }
 
-TEST(MessageRouter, ByteCountersAccumulateAcrossSupersteps) {
-  // The cost model's max-over-workers term reads the counters after several
-  // supersteps; each CollectAndClear* must add, not overwrite.
+TEST(MessageRouter, CollectsEachSuperstepSeparately) {
+  // One router carries several supersteps; each collection reports only
+  // what was sent since the previous one.
   MessageRouter<int> router(3);
   router.Send(0, 1, 1);
   router.Send(0, 2, 2);
-  const RouteStats first = router.CollectAndClear(8);
+  const RouteStats first = router.CollectAndClear(BytesPerMessage<int>(8));
   EXPECT_EQ(first.remote_bytes, 16u);
   router.Send(0, 1, 3);
   router.Send(2, 1, 4);
-  const RouteStats second = router.CollectAndClearSized(
-      [](const int&) { return size_t{4}; });
+  const RouteStats second = router.CollectAndClear(BytesPerMessage<int>(4));
   EXPECT_EQ(second.remote_bytes, 8u);
-  EXPECT_EQ(router.out_bytes()[0], 8u + 8u + 4u);
-  EXPECT_EQ(router.out_bytes()[2], 4u);
-  EXPECT_EQ(router.in_bytes()[1], 8u + 4u + 4u);
-  EXPECT_EQ(router.in_bytes()[2], 8u);
-  router.ResetByteCounters();
-  EXPECT_EQ(router.in_bytes()[1], 0u);
 }
 
-TEST(MessageCombiner, MatchesMapReferenceAcrossResets) {
-  // Random ±1 deltas over a small (query, bucket) space, so many keys
-  // cancel, against a std::map sum per (src, dst, query, bucket). Each
-  // combined cell must hold exactly the reference's nonzero sums, strictly
-  // ascending by (query, bucket); later rounds reuse the cells after Reset,
-  // with the worker count changing in between.
-  MessageCombiner combiner;
+TEST(MessageRouter, CombinedCellsMatchMapReferenceAcrossRounds) {
+  // Superstep 1's combiner: random ±1 deltas over a small (query, bucket)
+  // space, so many keys cancel, against a std::map sum per (src, dst,
+  // query, bucket). Each cell combined in place with CombineDeltas must hold
+  // exactly the reference's nonzero sums, strictly ascending by (query,
+  // bucket); one router per worker count, and a later round reuses its
+  // cells after the collection emptied them.
+  std::map<int, MessageRouter<BucketDeltaMsg>> routers;
   Rng rng(2024);
   for (const int workers : {3, 2, 4, 3}) {
-    combiner.Reset(workers);
+    MessageRouter<BucketDeltaMsg>& router =
+        routers.try_emplace(workers, workers).first->second;
     std::map<std::tuple<int, int, VertexId, BucketId>, int64_t> reference;
     const auto add = [&](int src, int dst, VertexId q, BucketId b,
                          int32_t delta) {
-      combiner.Add(src, dst, {q, b, delta});
+      router.Send(src, dst, {q, b, delta});
       reference[{src, dst, q, b}] += delta;
     };
     for (int i = 0; i < 3000; ++i) {
@@ -121,7 +116,11 @@ TEST(MessageCombiner, MatchesMapReferenceAcrossResets) {
     // pair cancels and must not reach the wire.
     add(0, workers - 1, 1000, 2, +1);
     add(0, workers - 1, 1000, 2, -1);
-    for (int src = 0; src < workers; ++src) combiner.CombineRow(src);
+    for (int src = 0; src < workers; ++src) {
+      for (int dst = 0; dst < workers; ++dst) {
+        CombineDeltas(&router.Cell(src, dst));
+      }
+    }
 
     size_t zero_sums = 0;
     for (int src = 0; src < workers; ++src) {
@@ -136,7 +135,7 @@ TEST(MessageCombiner, MatchesMapReferenceAcrossResets) {
           }
           expected.push_back({q, b, static_cast<int32_t>(sum)});
         }
-        const std::vector<BucketDeltaMsg>& cell = combiner.Cell(src, dst);
+        const std::vector<BucketDeltaMsg>& cell = router.Incoming(src, dst);
         ASSERT_EQ(cell.size(), expected.size())
             << "W=" << workers << " cell " << src << "->" << dst;
         for (size_t i = 0; i < cell.size(); ++i) {
@@ -149,11 +148,12 @@ TEST(MessageCombiner, MatchesMapReferenceAcrossResets) {
       }
     }
     EXPECT_GT(zero_sums, 1u) << "the input must exercise cancelling keys";
-  }
-  combiner.Reset(2);
-  for (int src = 0; src < 2; ++src) {
-    for (int dst = 0; dst < 2; ++dst) {
-      EXPECT_TRUE(combiner.Cell(src, dst).empty()) << "Reset empties cells";
+    router.CollectAndClear(BytesPerMessage<BucketDeltaMsg>(1));
+    for (int src = 0; src < workers; ++src) {
+      for (int dst = 0; dst < workers; ++dst) {
+        EXPECT_TRUE(router.Incoming(src, dst).empty())
+            << "collection empties cells";
+      }
     }
   }
 }
@@ -890,9 +890,8 @@ TEST(CostModel, SlowestWorkerGates) {
   CostModel model(config);
   SuperstepStats stats;
   stats.work_units = {10, 1000, 10};
-  EXPECT_DOUBLE_EQ(
-      model.SuperstepSeconds(stats, {0, 0, 0}),
-      1000 * config.ns_per_work_unit * 1e-9);
+  EXPECT_DOUBLE_EQ(model.SuperstepSecondsEven(stats, 3),
+                   1000 * config.ns_per_work_unit * 1e-9);
 }
 
 TEST(CostModel, TotalAccumulatesAndScalesMachineSeconds) {
@@ -919,6 +918,24 @@ TEST(DistributedShp, ReportIsConsistent) {
                    report.simulated.seconds * 4);
   EXPECT_TRUE(Partition::FromAssignment(report.assignment, 8)
                   .IsBalanced(0.05));
+}
+
+TEST(DistributedShp, WorkerStateIncludesReplicas) {
+  // A fresh refiner holds only adjacency; the reported peak is sampled at
+  // epoch ends, once the query and accumulator replicas exist. The caller's
+  // own epoch hook still fires once per iteration.
+  const BipartiteGraph g = TestGraph();
+  DistributedShpOptions options;
+  options.bsp.num_workers = 4;
+  uint64_t epochs = 0;
+  options.bsp.on_epoch_end = [&epochs](uint64_t, uint64_t) { ++epochs; };
+  options.recursive = false;
+  options.shpk_options.max_iterations = 5;
+  options.shpk_options.refiner.sweep_mode = RefinerOptions::SweepMode::kPush;
+  const DistributedShpReport report = DistributedShp(options).Run(g, 8);
+  const BspRefiner fresh(g, options.shpk_options.refiner, options.bsp);
+  EXPECT_GT(report.max_worker_state_bytes, fresh.MaxWorkerStateBytes());
+  EXPECT_EQ(epochs, report.num_supersteps / 4);
 }
 
 TEST(DistributedShp, MoreWorkersMoreCommunication) {
